@@ -6,13 +6,23 @@ streaming Algorithm-1 coordinator produced by an engine's registered
 bounded per-session inbox and *stepped* by sweeps; queries read the current
 top-k, time, and protocol message count.
 
+The inbox
+---------
+The unit of the inbox is the fed batch: ``feed_many`` checks a batch once —
+2-D, width ``n``, integer dtype, whether it is a decoded binary-wire array or
+a JSONL list of lists — and queues it whole as one ``(b, n)`` int64 block
+(``feed`` queues a ``(1, n)`` view).  The bound is still counted in rows:
+backpressure, :meth:`SessionManager.pending` and the lookahead threshold all
+see the number of pending rows, and a batch that does not fit is refused
+whole.
+
 The batched stepping path
 -------------------------
 ``step()`` does not loop sessions naively: batchable steppers (the
 vectorized :class:`~repro.engine.vectorized.IncrementalKernel`) of equal
-``(n, k)`` are grouped, their pending rows stacked into one ``(B, n)``
-matrix, and quietness — "does this row violate any filter?" — is decided
-for the whole group with one stacked comparison,
+``(n, k)`` are grouped, the next row of each one's head block stacked into
+one ``(B, n)`` matrix, and quietness — "does this row violate any
+filter?" — is decided for the whole group with one stacked comparison,
 :func:`repro.engine.kernel.violates_stacked` over the steppers' shared
 :class:`~repro.engine.kernel.FilterState` objects.  Quiet sessions (the
 regime the paper's filters create) advance via ``quiet_step()`` — no
@@ -23,7 +33,8 @@ The deep-inbox lookahead
 ------------------------
 A session whose inbox is deep (``>= LOOKAHEAD_MIN_DEPTH`` pending rows,
 e.g. after a bulk ``feed_rows`` or while draining) skips the sweep loop
-entirely: its whole backlog is handed to the stepper's ``observe_many``,
+entirely: its whole backlog is handed to the stepper's ``observe_many``
+(the queued block itself, concatenated only when several are waiting),
 which uses the kernel's cross-row ``scan_quiet`` block scan to drain every
 quiet prefix in O(log B) whole-array reductions instead of B per-row
 sweeps.  Exactness is the kernel's segment-skip invariant, so this too is
@@ -34,8 +45,11 @@ Checkpoint / restore
 --------------------
 :meth:`checkpoint` persists every live session — engine name, full
 algorithmic state via the engine's registered session codec
-(:func:`repro.engine.registry.get_session_codec`), and the pending inbox —
-as one JSON file per session plus a manifest, written atomically.
+(:func:`repro.engine.registry.get_session_codec`), and the pending inbox as
+a flat list of rows — as one JSON file per session plus a manifest, written
+atomically.  Each call that is not a no-op lists the directory once, writes
+the dirty sessions and any session whose file is missing, prunes the files
+of closed sessions, and rewrites the manifest.
 ``SessionManager(restore=dir)`` rebuilds the whole fleet, bit-identically:
 restored sessions produce the same future trajectories, coin flips, and
 message counts as if the process had never died.
@@ -142,24 +156,52 @@ class SessionView:
 class _Session:
     """One live session: its stepper, the bounded inbox, carried counts.
 
+    ``inbox`` holds validated ``(b, n)`` int64 blocks, oldest first, with
+    no empty block; ``pending`` is the number of rows across them.
     ``message_base`` is the message total carried over a checkpoint
     boundary for steppers whose instrumentation restarts empty (the
     faithful monitor's ledger); the counting kernel checkpoints its
     counters, so its base stays 0.
     """
 
-    __slots__ = ("session_id", "engine", "stepper", "inbox", "message_base")
+    __slots__ = ("session_id", "engine", "stepper", "inbox", "pending", "message_base")
 
     def __init__(self, session_id: str, engine: str, stepper: Any, message_base: int = 0):
         self.session_id = session_id
         self.engine = engine
         self.stepper = stepper
         self.inbox: deque[np.ndarray] = deque()
+        self.pending = 0
         self.message_base = message_base
 
     @property
     def message_count(self) -> int:
         return self.message_base + self.stepper.message_count
+
+    def push(self, block: np.ndarray) -> int:
+        """Queue a validated block; returns the new pending row count."""
+        if len(block):
+            self.inbox.append(block)
+            self.pending += len(block)
+        return self.pending
+
+    def pop_row(self) -> np.ndarray:
+        """Take the oldest pending row off the head block."""
+        block = self.inbox[0]
+        if len(block) == 1:
+            self.inbox.popleft()
+        else:
+            self.inbox[0] = block[1:]
+        self.pending -= 1
+        return block[0]
+
+    def pop_all(self) -> np.ndarray:
+        """Take every pending row as one block (no copy when one is queued)."""
+        inbox = self.inbox
+        block = inbox[0] if len(inbox) == 1 else np.concatenate(inbox)
+        inbox.clear()
+        self.pending = 0
+        return block
 
 
 class SessionManager:
@@ -263,7 +305,7 @@ class SessionManager:
     def close(self, session_id: str) -> SessionView:
         """Drain a session's remaining inbox, retire it, return the final view."""
         session = self._get(session_id)
-        if session.inbox:
+        if session.pending:
             t0 = self.metrics.clock()
             rows, used_lookahead = self._drain_session(session)
             self.metrics.record_sweep(
@@ -292,7 +334,7 @@ class SessionManager:
             For a row of the wrong shape or a non-integer dtype.
         """
         session = self._get(session_id)
-        if len(session.inbox) >= self.inbox_limit:
+        if session.pending >= self.inbox_limit:
             self.metrics.record_backpressure()
             raise BackpressureError(session_id, self.inbox_limit)
         n = session.stepper.n
@@ -301,39 +343,39 @@ class SessionManager:
             raise ConfigurationError(f"row must have shape ({n},), got {row.shape}")
         if not np.issubdtype(row.dtype, np.integer):
             raise ConfigurationError(f"row must be integer-typed, got dtype {row.dtype}")
-        session.inbox.append(row.astype(np.int64, copy=False))
         self._dirty.add(session_id)
-        return len(session.inbox)
+        return session.push(row.astype(np.int64, copy=False).reshape(1, n))
 
     def feed_many(self, session_id: str, rows) -> int:
         """Enqueue several rows atomically; returns the new inbox depth.
 
-        All rows are validated and capacity-checked *before* any is
-        enqueued, so a refused batch leaves the inbox untouched — which is
-        what makes a client-side retry after backpressure safe.
+        ``rows`` is a ``(B, n)`` integer array or a list of ``B`` integer
+        rows (``[]`` queues nothing).  The batch is validated and
+        capacity-checked as a whole *before* it is queued as one block, so
+        a refused batch leaves the inbox untouched — which is what makes a
+        client-side retry after backpressure safe.
+
+        Raises
+        ------
+        ConfigurationError
+            For a batch that is not 2-D of width ``n``, is ragged or not
+            integer-typed, or holds more rows than ``inbox_limit``.
+        BackpressureError
+            When the batch does not fit in the inbox's free rows.
         """
         session = self._get(session_id)
-        validated = []
-        n = session.stepper.n
-        for row in rows:
-            row = np.asarray(row)
-            if row.shape != (n,):
-                raise ConfigurationError(f"row must have shape ({n},), got {row.shape}")
-            if not np.issubdtype(row.dtype, np.integer):
-                raise ConfigurationError(f"row must be integer-typed, got dtype {row.dtype}")
-            validated.append(row.astype(np.int64, copy=False))
-        if len(validated) > self.inbox_limit:
+        block = _as_block(rows, session.stepper.n)
+        if len(block) > self.inbox_limit:
             # Not retryable by draining — fail loudly instead of letting a
             # blocking client spin on backpressure forever.
             raise ConfigurationError(
-                f"batch of {len(validated)} rows exceeds the inbox limit ({self.inbox_limit})"
+                f"batch of {len(block)} rows exceeds the inbox limit ({self.inbox_limit})"
             )
-        if len(session.inbox) + len(validated) > self.inbox_limit:
+        if session.pending + len(block) > self.inbox_limit:
             self.metrics.record_backpressure()
             raise BackpressureError(session_id, self.inbox_limit)
-        session.inbox.extend(validated)
         self._dirty.add(session_id)
-        return len(session.inbox)
+        return session.push(block)
 
     # ------------------------------------------------------------- stepping
 
@@ -352,12 +394,12 @@ class SessionManager:
         deep: list[_Session] = []
         groups: dict[tuple[int, int], list[_Session]] = {}
         for session in self._sessions.values():
-            if not session.inbox:
+            if not session.pending:
                 continue
             stepper = session.stepper
             if (
                 self.lookahead
-                and len(session.inbox) >= LOOKAHEAD_MIN_DEPTH
+                and session.pending >= LOOKAHEAD_MIN_DEPTH
                 and getattr(stepper, "supports_lookahead", False)
             ):
                 deep.append(session)
@@ -388,19 +430,18 @@ class SessionManager:
             if len(members) == 1:
                 singles.append(members[0])
                 continue
-            rows = np.stack([m.inbox[0] for m in members])
-            noisy = violates_stacked(rows, [m.stepper.filter for m in members])
-            for member, is_noisy in zip(members, noisy):
-                row = member.inbox.popleft()
+            rows = [m.pop_row() for m in members]
+            noisy = violates_stacked(np.stack(rows), [m.stepper.filter for m in members])
+            for member, row, is_noisy in zip(members, rows, noisy):
                 if is_noisy:
                     member.stepper.step(row)
                 else:
                     member.stepper.quiet_step()
                     quiet += 1
-                batched += 1
+            batched += len(members)
 
         for session in singles:
-            session.stepper.step(session.inbox.popleft())
+            session.stepper.step(session.pop_row())
 
         processed = looked + batched + len(singles)
         if processed:
@@ -426,19 +467,18 @@ class SessionManager:
         deep-inbox fast lane), else a per-row loop — the flag reports
         which path actually ran, so metrics stay honest.
         """
-        count = len(session.inbox)
+        count = session.pending
         if not count:
             return 0, False
         used_lookahead = self.lookahead and getattr(
             session.stepper, "supports_lookahead", False
         )
+        block = session.pop_all()
         if used_lookahead:
-            block = np.stack(list(session.inbox))
-            session.inbox.clear()
             session.stepper.observe_many(block)
         else:
-            while session.inbox:
-                session.stepper.step(session.inbox.popleft())
+            for row in block:
+                session.stepper.step(row)
         self._dirty.add(session.session_id)
         return count, used_lookahead
 
@@ -450,7 +490,7 @@ class SessionManager:
 
     def pending(self, session_id: str) -> int:
         """Rows fed but not yet stepped for one session."""
-        return len(self._get(session_id).inbox)
+        return self._get(session_id).pending
 
     def time(self, session_id: str) -> int:
         """Index of a session's last stepped row (-1 before the first).
@@ -465,7 +505,7 @@ class SessionManager:
 
     def total_pending(self) -> int:
         """Rows fed but not yet stepped, over all sessions."""
-        return sum(len(s.inbox) for s in self._sessions.values())
+        return sum(s.pending for s in self._sessions.values())
 
     def session_ids(self) -> list[str]:
         """Ids of all live sessions, in creation order."""
@@ -522,7 +562,8 @@ class SessionManager:
         ------
         ConfigurationError
             For an unsupported schema, an invalid or duplicate session id,
-            or an engine this process does not have registered.
+            an engine this process does not have registered, or a pending
+            inbox that is not a ``(B, n)`` integer batch.
         """
         if not isinstance(payload, dict) or payload.get("schema") != _CHECKPOINT_SCHEMA:
             raise ConfigurationError(
@@ -548,12 +589,20 @@ class SessionManager:
             "engine": session.engine,
             "messages": session.message_count,
             "state": snapshot(session.stepper),
-            "inbox": [row.tolist() for row in session.inbox],
+            "inbox": [row for block in session.inbox for row in block.tolist()],
         }
 
     @staticmethod
     def _session_from_payload(session_id: str, data: dict) -> _Session:
-        """Rebuild a live session from its checkpoint/migration payload."""
+        """Rebuild a live session from its checkpoint/migration payload.
+
+        Raises
+        ------
+        ConfigurationError
+            If the payload's pending inbox is not a ``(B, n)`` integer
+            batch — refused here, naming the session, rather than by the
+            first sweep that reaches it.
+        """
         engine = data["engine"]
         get_engine(engine)  # fail with the registry's error if unknown
         _, restore = get_session_codec(engine)
@@ -562,8 +611,12 @@ class SessionManager:
         # ledger) carry their pre-checkpoint total as a base offset.
         base = int(data["messages"]) - stepper.message_count
         session = _Session(session_id, engine, stepper, message_base=base)
-        for row in data["inbox"]:
-            session.inbox.append(np.asarray(row, dtype=np.int64))
+        try:
+            session.push(_as_block(data["inbox"], stepper.n))
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                f"session {session_id!r} has a corrupt pending inbox: {exc}"
+            ) from None
         return session
 
     def checkpoint(self, directory: str | os.PathLike) -> int:
@@ -573,9 +626,11 @@ class SessionManager:
         codec's state snapshot, carried message total, pending inbox rows)
         plus a ``manager.json`` manifest.  Every file is written to a temp
         name and atomically renamed, so a kill mid-checkpoint leaves the
-        previous checkpoint intact.  Writes are incremental: only sessions
-        that changed since the last checkpoint into the same directory are
-        rewritten; files of closed sessions are pruned.
+        previous checkpoint intact.  Writes are incremental: one listing
+        of the directory finds the session files present; only sessions
+        that changed since the last checkpoint into the same directory, or
+        whose file is missing, are rewritten; files of closed sessions are
+        pruned; the manifest is rewritten on every call that is not a no-op.
 
         Raises
         ------
@@ -595,16 +650,16 @@ class SessionManager:
             # free of directory I/O.
             return len(self._sessions)
         directory.mkdir(parents=True, exist_ok=True)
+        present = set(os.listdir(directory))
         for session_id, session in self._sessions.items():
-            path = directory / f"{session_id}.json"
-            if session_id not in self._dirty and path.exists():
-                continue
-            _atomic_write(path, self._session_payload(session))
-            self._dirty.discard(session_id)
+            name = f"{session_id}.json"
+            if session_id in self._dirty or name not in present:
+                _atomic_write(directory / name, self._session_payload(session))
+                self._dirty.discard(session_id)
         if self._closed_since_checkpoint:
-            for path in directory.glob("*.json"):
-                if path.name != _MANIFEST and path.stem not in self._sessions:
-                    path.unlink()  # prune closed sessions
+            for name in present - {_MANIFEST}:
+                if name.endswith(".json") and name.removesuffix(".json") not in self._sessions:
+                    os.unlink(directory / name)  # prune closed sessions
             self._closed_since_checkpoint = False
         _atomic_write(
             directory / _MANIFEST,
@@ -631,8 +686,9 @@ class SessionManager:
         ConfigurationError
             If this manager already hosts sessions (a merge would risk id
             collisions between two live fleets — use
-            :meth:`import_session` to move individual sessions), or if the
-            directory holds no valid manifest.
+            :meth:`import_session` to move individual sessions), if the
+            directory holds no valid manifest, or if a session file's
+            pending inbox is not a ``(B, n)`` integer batch.
         """
         if self._sessions:
             raise ConfigurationError(
@@ -684,8 +740,28 @@ class SessionManager:
             time=stepper.time,
             topk=tuple(int(i) for i in stepper.topk),
             message_count=session.message_count,
-            pending=len(session.inbox),
+            pending=session.pending,
         )
+
+
+def _as_block(rows, n: int) -> np.ndarray:
+    """Check a batch once; returns it as a ``(B, n)`` int64 block.
+
+    ``rows`` is a 2-D integer array (a decoded binary-wire feed) or a list
+    of integer rows (a JSONL feed, a checkpoint's inbox); ``[]`` is the
+    empty batch.  int64 input is returned without a copy.
+    """
+    try:
+        block = np.asarray(rows)
+    except ValueError:  # ragged nested lists
+        raise ConfigurationError(f"rows must form a (B, {n}) array, got ragged rows") from None
+    if block.shape == (0,):
+        return np.empty((0, n), dtype=np.int64)
+    if block.ndim != 2 or block.shape[1] != n:
+        raise ConfigurationError(f"rows must have shape (B, {n}), got {block.shape}")
+    if not np.issubdtype(block.dtype, np.integer):
+        raise ConfigurationError(f"rows must be integer-typed, got dtype {block.dtype}")
+    return block.astype(np.int64, copy=False)
 
 
 def _atomic_write(path: Path, payload: dict) -> None:

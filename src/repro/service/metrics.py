@@ -165,7 +165,7 @@ _OBS_GAUGES = {
         ("step_latency_p50_us", "row-weighted p50 per-row step latency (us)"),
         ("step_latency_p99_us", "row-weighted p99 per-row step latency (us)"),
         ("window_rows", "rows currently represented by the latency reservoir"),
-        ("backpressure_rejections", "rows refused because an inbox was full"),
+        ("backpressure_rejections", "feed requests refused because an inbox was full"),
         ("protocol_messages", "protocol messages across live and closed sessions"),
         ("wire_rows_per_sec", "feed rows crossing the wire per second (codec window)"),
         ("wire_encode_p99_us", "p99 codec time per feed exchange (us)"),
@@ -227,7 +227,10 @@ class MetricsRecorder:
         self._wire.append((self._clock(), rows, elapsed))
 
     def record_backpressure(self) -> None:
-        """Count one refused row (inbox full)."""
+        """Count one feed request refused because the inbox was full.
+
+        A refused batch counts once, however many rows it carried.
+        """
         self.backpressure_rejections += 1
 
     def record_close(self, message_count: int) -> None:

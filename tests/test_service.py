@@ -13,6 +13,7 @@ in top-k trajectory *and* message counts, on every catalog workload.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -165,6 +166,47 @@ class TestDifferentialCatalog:
             finals.append([(mgr.query(sid).topk, mgr.query(sid).message_count) for sid in sids])
         assert finals[0] == finals[1]
 
+    @pytest.mark.parametrize("lookahead", [True, False])
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_fed_blocks_are_pure_transport(self, batch, lookahead):
+        """One stream fed four ways into one manager — per-row ``feed``,
+        one numpy block, uneven list-of-lists chunks, and a mix of all
+        three — equals the offline run at every row a sweep exposes."""
+        values = _matrix("random_walk", seed=12)
+        offline = repro.run(repro.RunSpec(values, k=K, seed=4, engine="vectorized"))
+        mgr = SessionManager(batch=batch, lookahead=lookahead)
+        sids = {mode: mgr.create(N, K, seed=4) for mode in ("rows", "block", "chunks", "mix")}
+        mgr.feed_many(sids["block"], values)
+        rng = np.random.default_rng(3)
+        t = 0
+        while t < STEPS:
+            chunk = values[t : t + int(rng.integers(1, 7))]
+            for row in chunk:
+                mgr.feed(sids["rows"], row)
+            mgr.feed_many(sids["chunks"], chunk.tolist())
+            if t % 3 == 0:
+                mgr.feed_many(sids["mix"], chunk)
+            elif t % 3 == 1:
+                for row in chunk.tolist():
+                    mgr.feed(sids["mix"], row)
+            else:
+                mgr.feed_many(sids["mix"], chunk.tolist())
+            t += len(chunk)
+            mgr.step()
+            for sid in sids.values():
+                view = mgr.query(sid)
+                if view.time >= 0:
+                    assert view.topk == tuple(offline.topk_history[view.time].tolist()), sid
+        mgr.drain()
+        for sid in sids.values():
+            view = mgr.query(sid)
+            assert view.time == STEPS - 1 and view.pending == 0, sid
+            assert view.topk == tuple(offline.topk_history[-1].tolist()), sid
+            assert view.message_count == offline.total_messages, sid
+        snap = mgr.metrics_snapshot()
+        assert (snap.rows_batched > 0) == batch
+        assert (snap.rows_lookahead > 0) == lookahead
+
 
 class TestDeepInboxLookahead:
     """The kernel's scan_quiet drains deep inboxes without changing results."""
@@ -292,6 +334,100 @@ class TestManagerCheckpoint:
         assert view.topk == tuple(offline.topk_history[-1].tolist())
         assert view.message_count == offline.total_messages
         assert restored.metrics_snapshot().sessions_restored == 1
+
+    def test_partly_consumed_block_checkpoints_its_remaining_rows(self, tmp_path):
+        """A 3-row block (below LOOKAHEAD_MIN_DEPTH) loses its head row to
+        the batched lane; the checkpoint lists exactly the other two."""
+        values = _matrix("random_walk", seed=14)
+        mgr = SessionManager()
+        sids = [mgr.create(N, K, seed=8 + i) for i in range(2)]
+        for sid in sids:
+            mgr.feed_many(sid, values[:1])
+        mgr.step()  # the t=0 reset runs outside the batched lane
+        for sid in sids:
+            mgr.feed_many(sid, values[1:4])
+        assert mgr.step() == 2
+        assert mgr.metrics_snapshot().rows_batched == 2
+        mgr.checkpoint(tmp_path)
+        for sid in sids:
+            data = json.loads((tmp_path / f"{sid}.json").read_text())
+            assert data["inbox"] == values[2:4].tolist()
+
+        restored = SessionManager(restore=tmp_path)
+        for sid in sids:
+            assert restored.pending(sid) == 2
+            restored.feed_many(sid, values[4:])
+        restored.drain()
+        for i, sid in enumerate(sids):
+            offline = repro.run(repro.RunSpec(values, k=K, seed=8 + i, engine="vectorized"))
+            view = restored.query(sid)
+            assert view.time == STEPS - 1
+            assert view.topk == tuple(offline.topk_history[-1].tolist())
+            assert view.message_count == offline.total_messages
+
+    @pytest.mark.parametrize(
+        "inbox",
+        [[[1, 2, 3]], [[1, 2, 3, 4], [1, 2]], [[1.5, 2.0, 3.0, 4.0]]],
+        ids=["wrong-width", "ragged", "float"],
+    )
+    def test_corrupt_inbox_is_refused_at_restore(self, inbox, tmp_path):
+        """A tampered pending inbox fails restore and import naming the
+        session, instead of raising in the first sweep that reaches it."""
+        mgr = SessionManager()
+        sid = mgr.create(4, 2, seed=1)
+        mgr.feed(sid, [4, 3, 2, 1])
+        mgr.checkpoint(tmp_path)
+        path = tmp_path / f"{sid}.json"
+        data = json.loads(path.read_text())
+        data["inbox"] = inbox
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match=f"session '{sid}'"):
+            SessionManager(restore=tmp_path)
+        with pytest.raises(ConfigurationError, match=f"session '{sid}'"):
+            SessionManager().import_session(data)
+
+    def test_checkpoint_rewrites_only_changed_files(self, tmp_path):
+        """File-level behaviour of incremental checkpoints: a fed session's
+        file and the manifest are rewritten, every other file is left
+        alone, a missing clean file is rewritten by the next checkpoint
+        that is not a no-op, and a closed session's file is pruned."""
+
+        def stats():
+            return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
+
+        def rewritten(before, after):
+            return {name for name in after if after[name] != before.get(name)}
+
+        mgr = SessionManager()
+        sids = [mgr.create(4, 2, seed=i) for i in range(4)]
+        mgr.checkpoint(tmp_path)
+        before = stats()
+        assert set(before) == {f"{sid}.json" for sid in sids} | {"manager.json"}
+
+        mgr.feed(sids[0], [1, 2, 3, 4])
+        mgr.checkpoint(tmp_path)
+        after = stats()
+        assert set(after) == set(before)
+        assert rewritten(before, after) == {f"{sids[0]}.json", "manager.json"}
+
+        (tmp_path / f"{sids[1]}.json").unlink()
+        mgr.checkpoint(tmp_path)  # nothing dirty: a no-op, the file stays gone
+        assert f"{sids[1]}.json" not in stats()
+        before = stats()
+        mgr.feed(sids[2], [1, 2, 3, 4])
+        mgr.checkpoint(tmp_path)
+        after = stats()
+        assert rewritten(before, after) == {
+            f"{sids[1]}.json", f"{sids[2]}.json", "manager.json"
+        }
+
+        before = after
+        mgr.close(sids[3])
+        mgr.checkpoint(tmp_path)
+        after = stats()
+        assert set(after) == set(before) - {f"{sids[3]}.json"}
+        assert rewritten(before, after) == {"manager.json"}
+        assert SessionManager(restore=tmp_path).session_ids() == sids[:3]
 
     def test_closed_sessions_do_not_resurrect(self, tmp_path):
         mgr = SessionManager()
@@ -423,6 +559,28 @@ class TestSessionManager:
             mgr.feed(sid, [1, 2, 3])
         with pytest.raises(ConfigurationError, match="integer"):
             mgr.feed(sid, [1.0, 2.0, 3.0, 4.0])
+
+    def test_feed_many_validation(self):
+        """A malformed batch is refused whole and leaves the inbox as it
+        was; ``[]`` is a no-op."""
+        mgr = SessionManager()
+        sid = mgr.create(4, 2, seed=0)
+        mgr.feed_many(sid, [[4, 3, 2, 1], [4, 3, 2, 9]])
+        for bad in (
+            [1, 2, 3, 4],
+            [[1, 2, 3, 4], [1, 2, 3]],
+            [[1.0, 2.0, 3.0, 4.0]],
+            np.ones((2, 4)),
+            [[1, 2, 3]],
+            np.ones((2, 5), dtype=np.int64),
+        ):
+            with pytest.raises(ConfigurationError):
+                mgr.feed_many(sid, bad)
+            assert mgr.pending(sid) == 2
+        assert mgr.feed_many(sid, []) == 2
+        mgr.drain()
+        assert mgr.query(sid).time == 1
+        assert mgr.query(sid).topk == (0, 3)
 
     def test_rejects_non_streaming_default_engine(self):
         with pytest.raises(ConfigurationError, match="streaming"):
