@@ -11,11 +11,13 @@ Examples::
 
 ``--serve`` prints ``listening on HOST:PORT`` once bound (port 0 picks an
 ephemeral port) and runs until SIGINT or a client ``shutdown`` op; both
-end in a clean exit.  With ``--checkpoint-dir`` the server persists every
-live session there (on idle, on create/close, and on clean shutdown) and
-restores the whole fleet from it at startup — a killed server resumes its
-sessions bit-identically; ``--checkpoint-interval`` adds timer checkpoints
-on top of the on-idle/on-op ones.  ``--workers N`` (N >= 2) serves a
+end in a clean exit.  With ``--checkpoint-dir`` the server logs every
+acked feed there, checkpoints every live session there (on create/close,
+on the ``checkpoint`` op, on clean shutdown, and on idle once the log is
+long) and restores the whole fleet from it at startup — a killed server
+resumes its sessions bit-identically, acked rows included;
+``--checkpoint-interval`` adds timer checkpoints, which bound the log's
+length and a restart's replay.  ``--workers N`` (N >= 2) serves a
 :class:`~repro.service.fleet.FleetRouter` instead: N worker processes
 behind one consistent-hashing router with a hot standby — same wire
 protocol, automatic failover.  ``--metrics`` and ``--shutdown`` are thin
@@ -71,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="also checkpoint on a timer, bounding what a SIGKILL can lose "
-        "under sustained load (needs --checkpoint-dir; default: off)",
+        help="also checkpoint on a timer, bounding the feed log's length and "
+        "a restart's replay (needs --checkpoint-dir; default: off)",
     )
     parser.add_argument(
         "--workers",

@@ -384,10 +384,11 @@ class ServiceClient:
         """Force the server to persist all sessions *now*; returns
         ``{"sessions": count, "dir": path}``.
 
-        The server also checkpoints on its own (idle, create/close, clean
-        shutdown) — this op is the synchronous barrier a client calls when
-        it must know state is durable before proceeding.  Fails if the
-        server runs without ``--checkpoint-dir``.
+        A durable server logs every acked feed and also checkpoints on its
+        own (create/close, its timer, a long feed log, clean shutdown) —
+        this op is the synchronous barrier a client calls when it must know
+        the session files alone hold the state, feed log compacted.  Fails
+        if the server runs without ``--checkpoint-dir``.
         """
         reply = self.request("checkpoint")
         return {"sessions": reply["sessions"], "dir": reply["dir"]}
@@ -469,11 +470,12 @@ class SessionHandle:
 
         On connection loss the reply is unknowable, so the handle
         reconnects, asks the server how many rows it has, and resends
-        only what is missing.  A server restarted from an *older*
-        checkpoint can report fewer rows than were acked before this
-        batch — rows this handle no longer holds — which is unrecoverable
-        here and raised as such (feed after a ``checkpoint`` barrier, as
-        ``tools/service_smoke.py --fault-profile`` does, to avoid it).
+        only what is missing.  A durable server logs every feed before
+        acking it, so a restart on its checkpoint directory reports at
+        least every acked row.  A server restarted without that log (an
+        older copy of the directory, or no directory at all) can report
+        fewer rows than were acked before this batch — rows this handle
+        no longer holds — which is unrecoverable here and raised as such.
         """
         if self._acked is None:
             self._sync_acked()

@@ -48,11 +48,31 @@ algorithmic state via the engine's registered session codec
 (:func:`repro.engine.registry.get_session_codec`), and the pending inbox as
 a flat list of rows — as one JSON file per session plus a manifest, written
 atomically.  Each call that is not a no-op lists the directory once, writes
-the dirty sessions and any session whose file is missing, prunes the files
-of closed sessions, and rewrites the manifest.
+the dirty sessions and any session whose file is missing, rewrites the
+manifest, then prunes the files of closed sessions.
 ``SessionManager(restore=dir)`` rebuilds the whole fleet, bit-identically:
 restored sessions produce the same future trajectories, coin flips, and
 message counts as if the process had never died.
+
+The feed log
+------------
+Between checkpoints, durability costs one append per feed: once the
+manager has a checkpoint directory (after :meth:`checkpoint` or a
+restore), every accepted ``feed``/``feed_many`` appends one record to
+``feeds.log`` there before it returns, so an acknowledged feed is a logged
+one.  A record is ``u32 length | u32 crc32 | u16 id length | i64 index of
+the block's first row | u32 rows | u32 (n << 4 | value width) | i64
+reference | id | body``, little-endian; the CRC covers everything after
+itself, and the body stores ``value - reference`` (the reference is the
+block's minimum) in the narrowest of u8/u16/u32 that holds the block's
+span, or the signed int64 values themselves (reference 0) when the span
+does not fit in u32.  :meth:`checkpoint` is the compaction point: its
+session files hold every logged row, so it unlinks the log last.  Restore
+reads the session files, then replays the log into the inboxes, skipping
+rows a session already holds, so a log that survived its compaction
+applies nothing twice; it stops at the first short or corrupt record and
+truncates the file there.  Nothing is fsynced: the log, like the JSON
+files, survives a killed process, not a power loss.
 
 The manager is deliberately single-threaded: the asyncio server
 (:mod:`repro.service.server`) confines it to the event-loop thread, and
@@ -64,10 +84,13 @@ from __future__ import annotations
 import json
 import os
 import re
+import struct
+import weakref
+import zlib
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -104,7 +127,17 @@ LOOKAHEAD_MIN_DEPTH = 4
 #: Manifest filename inside a checkpoint directory.
 _MANIFEST = "manager.json"
 
+#: Feed log filename inside a checkpoint directory (see "The feed log").
+_FEED_LOG = "feeds.log"
+
 _CHECKPOINT_SCHEMA = 1
+
+# A feed-log record: (length, crc32) of everything after them, then the
+# header, the session id and the body.
+_RECORD_PREFIX = struct.Struct("<II")
+_RECORD_HEADER = struct.Struct("<HqIIq")  # id length, first, rows, n << 4 | width, reference
+# Body dtype by value width: frame-of-reference widths, then raw int64.
+_BODY_DTYPES = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4"), 8: np.dtype("<i8")}
 
 # Session ids become checkpoint *filenames* (and arrive over the wire), so
 # they are restricted to a path-safe charset and must not shadow the
@@ -177,6 +210,11 @@ class _Session:
     @property
     def message_count(self) -> int:
         return self.message_base + self.stepper.message_count
+
+    @property
+    def received(self) -> int:
+        """Rows fed so far: stepped (``time + 1``) plus pending."""
+        return self.stepper.time + 1 + self.pending
 
     def push(self, block: np.ndarray) -> int:
         """Queue a validated block; returns the new pending row count."""
@@ -256,11 +294,13 @@ class SessionManager:
         self._sessions: dict[str, _Session] = {}
         self._next_id = 1
         # Dirty tracking for incremental checkpoints: ids whose state or
-        # inbox changed since the last checkpoint() into _ckpt_dir, plus
-        # whether any session closed (its file must be pruned).
+        # inbox changed since the last checkpoint() into the log's
+        # directory, plus whether any session closed (its file must be
+        # pruned).
         self._dirty: set[str] = set()
         self._closed_since_checkpoint = False
-        self._ckpt_dir: Path | None = None
+        # The checkpoint directory's feed log (None until checkpoint/restore).
+        self._log: _FeedLog | None = None
         if restore is not None:
             self._restore(Path(restore))
 
@@ -327,7 +367,8 @@ class SessionManager:
         Raises
         ------
         ServiceError
-            For an unknown session id.
+            For an unknown session id, or when the feed log cannot be
+            written (the row is then not queued).
         BackpressureError
             When the session's inbox is at ``inbox_limit``.
         ConfigurationError
@@ -343,8 +384,7 @@ class SessionManager:
             raise ConfigurationError(f"row must have shape ({n},), got {row.shape}")
         if not np.issubdtype(row.dtype, np.integer):
             raise ConfigurationError(f"row must be integer-typed, got dtype {row.dtype}")
-        self._dirty.add(session_id)
-        return session.push(row.astype(np.int64, copy=False).reshape(1, n))
+        return self._accept(session, row.astype(np.int64, copy=False).reshape(1, n))
 
     def feed_many(self, session_id: str, rows) -> int:
         """Enqueue several rows atomically; returns the new inbox depth.
@@ -362,6 +402,9 @@ class SessionManager:
             integer-typed, or holds more rows than ``inbox_limit``.
         BackpressureError
             When the batch does not fit in the inbox's free rows.
+        ServiceError
+            For an unknown session id, or when the feed log cannot be
+            written (the batch is then not queued).
         """
         session = self._get(session_id)
         block = _as_block(rows, session.stepper.n)
@@ -374,7 +417,18 @@ class SessionManager:
         if session.pending + len(block) > self.inbox_limit:
             self.metrics.record_backpressure()
             raise BackpressureError(session_id, self.inbox_limit)
-        self._dirty.add(session_id)
+        return self._accept(session, block)
+
+    def _accept(self, session: _Session, block: np.ndarray) -> int:
+        """Log a validated block when durable, then queue it.
+
+        A feed whose record cannot be written raises
+        :class:`~repro.errors.ServiceError` and queues nothing, so an
+        acknowledged feed is always a logged one.
+        """
+        if self._log is not None and len(block):
+            self._log.append(session.session_id, session.received, block)
+        self._dirty.add(session.session_id)
         return session.push(block)
 
     # ------------------------------------------------------------- stepping
@@ -507,6 +561,10 @@ class SessionManager:
         """Rows fed but not yet stepped, over all sessions."""
         return sum(s.pending for s in self._sessions.values())
 
+    def log_bytes(self) -> int:
+        """Bytes of feed log written since the last checkpoint (0 when not durable)."""
+        return self._log.length if self._log is not None else 0
+
     def session_ids(self) -> list[str]:
         """Ids of all live sessions, in creation order."""
         return list(self._sessions)
@@ -629,8 +687,10 @@ class SessionManager:
         previous checkpoint intact.  Writes are incremental: one listing
         of the directory finds the session files present; only sessions
         that changed since the last checkpoint into the same directory, or
-        whose file is missing, are rewritten; files of closed sessions are
-        pruned; the manifest is rewritten on every call that is not a no-op.
+        whose file is missing, are rewritten; the manifest is rewritten on
+        every call that is not a no-op; then the files of closed sessions
+        are pruned — only once no manifest names them — and the feed log,
+        whose rows the session files now hold, is unlinked.
 
         Raises
         ------
@@ -639,15 +699,14 @@ class SessionManager:
             (checkpointing would silently lose it).
         """
         directory = Path(directory)
-        if directory != self._ckpt_dir:
+        if self._log is None or directory != self._log.directory:
             # First checkpoint into this directory: everything is dirty.
-            self._ckpt_dir = directory
+            self._use_directory(directory)
             self._dirty = set(self._sessions)
             self._closed_since_checkpoint = True  # force a full pass
-        elif not self._dirty and not self._closed_since_checkpoint:
-            # Nothing changed since the last checkpoint here — the idle
-            # stepper calls this after every drain, so the no-op must be
-            # free of directory I/O.
+        elif not self._dirty and not self._closed_since_checkpoint and not self._log.length:
+            # Nothing changed since the last checkpoint here: the no-op
+            # must be free of directory I/O.
             return len(self._sessions)
         directory.mkdir(parents=True, exist_ok=True)
         present = set(os.listdir(directory))
@@ -656,11 +715,6 @@ class SessionManager:
             if session_id in self._dirty or name not in present:
                 _atomic_write(directory / name, self._session_payload(session))
                 self._dirty.discard(session_id)
-        if self._closed_since_checkpoint:
-            for name in present - {_MANIFEST}:
-                if name.endswith(".json") and name.removesuffix(".json") not in self._sessions:
-                    os.unlink(directory / name)  # prune closed sessions
-            self._closed_since_checkpoint = False
         _atomic_write(
             directory / _MANIFEST,
             {
@@ -669,6 +723,12 @@ class SessionManager:
                 "sessions": sorted(self._sessions),
             },
         )
+        if self._closed_since_checkpoint:
+            for name in present - {_MANIFEST}:
+                if name.endswith(".json") and name.removesuffix(".json") not in self._sessions:
+                    os.unlink(directory / name)  # prune closed sessions
+            self._closed_since_checkpoint = False
+        self._log.remove()
         return len(self._sessions)
 
     def restore_from(self, directory: str | os.PathLike) -> int:
@@ -677,9 +737,13 @@ class SessionManager:
         The runtime form of ``SessionManager(restore=dir)``: a hot-standby
         process starts empty, and on takeover *replays the dead worker's
         checkpoint dir* through this hook (the fleet router's ``restore``
-        wire op).  Future :meth:`checkpoint` calls into the same directory
-        continue incrementally from the restored state.  Returns the number
-        of sessions restored.
+        wire op).  After the session files, the feed log is replayed: each
+        record's rows that its session does not hold yet join the inbox
+        (which may then exceed ``inbox_limit``); records of sessions the
+        manifest does not list are skipped, and replay stops at the first
+        short or corrupt record.  Future :meth:`checkpoint` calls into the
+        same directory continue incrementally from the restored state, and
+        feeds append to its log.  Returns the number of sessions restored.
 
         Raises
         ------
@@ -687,8 +751,10 @@ class SessionManager:
             If this manager already hosts sessions (a merge would risk id
             collisions between two live fleets — use
             :meth:`import_session` to move individual sessions), if the
-            directory holds no valid manifest, or if a session file's
-            pending inbox is not a ``(B, n)`` integer batch.
+            directory holds no valid manifest, if a session file the
+            manifest lists is missing, if a session file's pending inbox is
+            not a ``(B, n)`` integer batch, or if a feed-log record skips
+            rows its session never received.
         """
         if self._sessions:
             raise ConfigurationError(
@@ -710,16 +776,52 @@ class SessionManager:
         self._next_id = int(manifest["next_id"])
         for session_id in manifest["sessions"]:
             _check_session_id(session_id)  # a tampered manifest must not traverse
-            data = json.loads((directory / f"{session_id}.json").read_text())
+            path = directory / f"{session_id}.json"
+            try:
+                data = json.loads(path.read_text())
+            except FileNotFoundError:
+                raise ConfigurationError(
+                    f"checkpoint at {directory} lists session {session_id!r}, "
+                    f"but its file {path.name} is missing"
+                ) from None
             self._sessions[session_id] = self._session_from_payload(session_id, data)
-        self._ckpt_dir = directory
+        self._use_directory(directory)
         self._dirty.clear()
         self._closed_since_checkpoint = False
+        self._replay_log()
         self.metrics.sessions_restored += len(self._sessions)
         return len(self._sessions)
 
     def _restore(self, directory: Path) -> None:
         self.restore_from(directory)
+
+    def _use_directory(self, directory: Path) -> None:
+        """Make ``directory`` the checkpoint directory, closing the old log."""
+        if self._log is not None:
+            self._log.close()
+        self._log = _FeedLog(directory)
+
+    def _replay_log(self) -> None:
+        """Queue the logged rows each restored session does not hold yet."""
+        for session_id, first, block in self._log.replay():
+            session = self._sessions.get(session_id)
+            if session is None:
+                continue  # not in the manifest: created after the checkpoint
+            received = session.received
+            if first > received:
+                raise ConfigurationError(
+                    f"session {session_id!r}: a feed-log record starts at row {first}, "
+                    f"but the checkpoint holds only {received} rows"
+                )
+            if first + len(block) <= received:
+                continue  # already in the session file
+            try:
+                session.push(_as_block(block[received - first:], session.stepper.n))
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"session {session_id!r} has a corrupt feed-log record: {exc}"
+                ) from None
+            self._dirty.add(session_id)
 
     # ------------------------------------------------------------ internals
 
@@ -769,3 +871,110 @@ def _atomic_write(path: Path, payload: dict) -> None:
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(payload, separators=(",", ":")))
     os.replace(tmp, path)
+
+
+def _encode_body(block: np.ndarray) -> tuple[int, np.ndarray]:
+    """Frame-of-reference encoding of a block: ``(reference, body)``.
+
+    The body holds ``value - min`` in the narrowest of u8/u16/u32 that
+    fits the block's span, or the int64 values (reference 0) otherwise.
+    """
+    low = int(block.min())
+    span = int(block.max()) - low
+    for width in (1, 2, 4):
+        if span >> (8 * width) == 0:
+            body = np.empty(block.shape, _BODY_DTYPES[width])
+            np.subtract(block, low, out=body, casting="unsafe")
+            return low, body
+    return 0, np.ascontiguousarray(block, _BODY_DTYPES[8])
+
+
+class _FeedLog:
+    """The append-only feed log of one checkpoint directory.
+
+    The file is opened on the first append and closed at compaction, when
+    the manager moves to another directory, or when the log is collected.
+    ``length`` counts the bytes of complete records; opening the file cuts
+    it back to that length, so a torn tail never precedes a new record.
+    """
+
+    def __init__(self, directory: Path):
+        self.directory = directory
+        self.path = directory / _FEED_LOG
+        self.length = 0
+        self._fd: int | None = None
+        self._close: weakref.finalize | None = None
+
+    def append(self, session_id: str, first: int, block: np.ndarray) -> None:
+        """Write one record with one ``writev``, or raise having written none."""
+        reference, body = _encode_body(block)
+        sid = session_id.encode()
+        rows, n = block.shape
+        head = _RECORD_HEADER.pack(len(sid), first, rows, n << 4 | body.itemsize, reference)
+        crc = zlib.crc32(body, zlib.crc32(sid, zlib.crc32(head)))
+        size = len(head) + len(sid) + body.nbytes
+        parts = (_RECORD_PREFIX.pack(size, crc), head, sid, body)
+        size += _RECORD_PREFIX.size
+        try:
+            if self._fd is None:
+                self._open()
+            written = os.writev(self._fd, parts)
+            if written != size:
+                raise OSError(f"short write: {written} of {size} bytes")
+        except OSError as exc:
+            if self._fd is not None:
+                try:
+                    os.ftruncate(self._fd, self.length)
+                except OSError:
+                    self.close()  # reopening truncates
+            raise ServiceError(f"could not log the feed to session {session_id!r}: {exc}") from None
+        self.length += size
+
+    def _open(self) -> None:
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            os.ftruncate(fd, self.length)
+        except OSError:
+            os.close(fd)
+            raise
+        self._fd = fd
+        self._close = weakref.finalize(self, os.close, fd)
+
+    def close(self) -> None:
+        if self._close is not None:
+            self._close()
+            self._fd = self._close = None
+
+    def remove(self) -> None:
+        """Close and unlink the log: a checkpoint now holds its rows."""
+        self.close()
+        self.path.unlink(missing_ok=True)
+        self.length = 0
+
+    def replay(self) -> Iterator[tuple[str, int, np.ndarray]]:
+        """Yield ``(session_id, first, block)`` for each complete record.
+
+        Stops at the first short or corrupt record, with ``length`` set to
+        the bytes before it.
+        """
+        try:
+            data = memoryview(self.path.read_bytes())
+        except FileNotFoundError:
+            return
+        offset = 0
+        while offset + _RECORD_PREFIX.size <= len(data):
+            size, crc = _RECORD_PREFIX.unpack_from(data, offset)
+            start = offset + _RECORD_PREFIX.size
+            end = start + size
+            if end > len(data) or size < _RECORD_HEADER.size or zlib.crc32(data[start:end]) != crc:
+                return
+            id_len, first, rows, packed, reference = _RECORD_HEADER.unpack_from(data, start)
+            n, width = packed >> 4, packed & 0xF
+            body = start + _RECORD_HEADER.size + id_len
+            if width not in _BODY_DTYPES or end - body != rows * n * width:
+                return
+            session_id = str(data[start + _RECORD_HEADER.size:body], "utf-8", "replace")
+            block = np.frombuffer(data, _BODY_DTYPES[width], rows * n, body).astype(np.int64)
+            block += reference
+            self.length = offset = end
+            yield session_id, first, block.reshape(rows, n)

@@ -15,12 +15,18 @@ int64 row batches and are acknowledged with struct-packed replies — no
 ``json.loads``/``json.dumps`` on the hot path.  Results are bit-identical
 either way; the framing only changes how the bytes move.
 
-Durability: with ``checkpoint_dir`` set the server persists every live
-session — via :meth:`repro.service.manager.SessionManager.checkpoint` —
-whenever the stepper drains to idle, after ``create``/``close``, on the
-explicit ``checkpoint`` op, and on clean shutdown; on startup it restores
-the whole fleet from the directory if a checkpoint exists.  A killed
-``--serve`` process therefore resumes its sessions bit-identically.
+Durability: with ``checkpoint_dir`` set, the manager appends every
+accepted feed to the feed log in that directory before the feed is
+acknowledged (see :mod:`repro.service.manager`).  The server checkpoints
+every live session — via
+:meth:`repro.service.manager.SessionManager.checkpoint`, which compacts
+the log — after ``create``/``close``/``export``/``import``, on the
+explicit ``checkpoint`` op, on the timer, on clean shutdown, and when the
+stepper drains to idle with at least ``LOG_COMPACT_BYTES`` of log; on
+startup it restores the whole fleet from the directory, log included, if
+a checkpoint exists.  A SIGKILLed ``--serve`` process therefore resumes
+its sessions bit-identically with every acknowledged row.  Nothing is
+fsynced: the files survive a killed process, not a power loss.
 
 Concurrency model: all manager access happens on the event-loop thread.
 Feeds enqueue rows and wake the single *stepper task*, which sweeps the
@@ -56,6 +62,11 @@ __all__ = ["ServiceServer", "ServerHandle", "new_event_loop", "start_server"]
 #: Per-line read limit (a row of ~50k JSON-encoded int64s fits).
 _LINE_LIMIT = 1 << 20
 
+#: Feed-log size at which the stepper, on draining to idle, checkpoints to
+#: compact it.  This bounds a restart's replay (at n=16 with u16 bodies,
+#: about 512k rows) when the timer is off or slower than the feeds.
+LOG_COMPACT_BYTES = 16 << 20
+
 
 class ServiceServer:
     """The JSONL session service: one listener, one manager, one stepper."""
@@ -78,10 +89,10 @@ class ServiceServer:
         #: from here at startup (None disables persistence).
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         #: Seconds between timer checkpoints (None disables the timer).
-        #: On-idle and on-op checkpoints bound staleness only when the
-        #: stepper *reaches* idle; under sustained load the timer is what
-        #: bounds how much a SIGKILL can lose — the fleet's failover
-        #: journal replay is sized by it.
+        #: Acked feeds are in the feed log either way; each checkpoint
+        #: compacts it, so the timer bounds the log's length and a
+        #: restart's replay — and the fleet router trims its failover
+        #: journal only at the checkpoints it fans out on the same period.
         if checkpoint_interval is not None and checkpoint_interval <= 0:
             raise ConfigurationError(
                 f"checkpoint_interval must be > 0 seconds, got {checkpoint_interval}"
@@ -177,9 +188,10 @@ class ServiceServer:
                     event, self._progress = self._progress, asyncio.Event()
                     event.set()
                     await asyncio.sleep(0)
-                # Idle: everything fed has been stepped — the natural
-                # consistency point to persist the fleet at.
-                self._checkpoint()
+                # Idle: every acked feed is already logged; compact only a
+                # long log, so a drained block costs no file rewrite.
+                if self.manager.log_bytes() >= LOG_COMPACT_BYTES:
+                    self._checkpoint()
         except asyncio.CancelledError:
             raise
         except BaseException:
@@ -195,12 +207,12 @@ class ServiceServer:
             self.manager.checkpoint(self.checkpoint_dir)
 
     async def _checkpoint_timer(self) -> None:
-        """Timer checkpoints: bound SIGKILL loss under sustained load.
+        """Timer checkpoints: bound the feed log and a restart's replay.
 
-        The on-idle checkpoint never fires while feeds outpace the stepper,
-        so without this task a busy server could lose an unbounded window.
-        ``checkpoint()`` only rewrites dirty sessions, so an idle tick is
-        a cheap manifest no-op.
+        Acked feeds are logged, so a SIGKILL loses none of them; each tick
+        compacts the log into the session files instead.  ``checkpoint()``
+        only rewrites dirty sessions, and a tick with nothing fed since the
+        last one touches no file.
         """
         try:
             while True:

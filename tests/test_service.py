@@ -13,8 +13,11 @@ in top-k trajectory *and* message counts, on every catalog workload.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -27,6 +30,7 @@ from repro.engine.registry import get_session_factory
 from repro.engine.vectorized import IncrementalKernel, _run_vectorized
 from repro.errors import BackpressureError, ConfigurationError, ServiceError
 from repro.service import ServiceClient, SessionManager, start_server
+from repro.service import manager as manager_module
 from repro.streams import get_workload, list_workloads
 
 STEPPING_ENGINES = ("vectorized", "faithful")
@@ -459,9 +463,240 @@ class TestManagerCheckpoint:
                 mgr.create(4, 2, session_id=bad)
         assert mgr.create(4, 2, session_id="gateway-7.east") == "gateway-7.east"
 
+    def test_failed_manifest_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A checkpoint that dies writing the manifest leaves the previous
+        one restorable: a closed session's file is pruned only after the
+        new manifest no longer names it."""
+        mgr = SessionManager()
+        sids = [mgr.create(4, 2, seed=i) for i in range(2)]
+        mgr.checkpoint(tmp_path)
+        mgr.close(sids[1])
+        write = manager_module._atomic_write
+
+        def failing_manifest(path, payload):
+            if path.name == "manager.json":
+                raise OSError("disk full")
+            write(path, payload)
+
+        monkeypatch.setattr(manager_module, "_atomic_write", failing_manifest)
+        with pytest.raises(OSError, match="disk full"):
+            mgr.checkpoint(tmp_path)
+        assert SessionManager(restore=tmp_path).session_ids() == sids
+
+    def test_missing_session_file_is_refused_at_restore(self, tmp_path):
+        mgr = SessionManager()
+        sid = mgr.create(4, 2, seed=1)
+        mgr.checkpoint(tmp_path)
+        (tmp_path / f"{sid}.json").unlink()
+        with pytest.raises(ConfigurationError, match=f"session '{sid}'.*missing"):
+            SessionManager(restore=tmp_path)
+
+    @staticmethod
+    def _finish(directory, sid, values) -> int:
+        """Restore ``directory``, feed ``values`` from the restored row count
+        on, and check the end state against the offline run of a seed-6
+        session; returns the restored row count."""
+        restored = SessionManager(restore=directory)
+        view = restored.query(sid)
+        received = view.time + 1 + view.pending
+        restored.feed_many(sid, values[received:])
+        restored.drain()
+        offline = repro.run(repro.RunSpec(values, k=K, seed=6, engine="vectorized"))
+        view = restored.query(sid)
+        assert view.time == len(values) - 1
+        assert view.topk == tuple(offline.topk_history[-1].tolist())
+        assert view.message_count == offline.total_messages
+        return received
+
+    @staticmethod
+    def _logged(directory, values, cuts):
+        """A session checkpointed empty, then fed ``values`` in blocks ending
+        at ``cuts`` (each drained): every row lives only in the feed log.
+        Returns the session id and the log's size after each block."""
+        mgr = SessionManager()
+        sid = mgr.create(N, K, seed=6)
+        mgr.checkpoint(directory)
+        sizes, start = [], 0
+        for cut in cuts:
+            mgr.feed_many(sid, values[start:cut])
+            mgr.drain()
+            sizes.append((directory / "feeds.log").stat().st_size)
+            start = cut
+        return sid, sizes
+
+    def test_log_replays_up_to_a_torn_last_record(self, tmp_path):
+        """A log cut at every byte offset inside its last record restores
+        every complete record, and the restored manager cuts the torn tail
+        off before it appends: a second restore sees all its rows."""
+        values = _matrix("random_walk", seed=21)
+        sid, sizes = self._logged(tmp_path / "ckpt", values, [40, 100, 103])
+        for cut in range(sizes[1], sizes[2]):
+            case = tmp_path / f"cut{cut}"
+            shutil.copytree(tmp_path / "ckpt", case)
+            os.truncate(case / "feeds.log", cut)
+            assert self._finish(case, sid, values) == 100
+            assert self._finish(case, sid, values) == len(values)
+
+    def test_corrupt_log_record_ends_the_replay(self, tmp_path):
+        values = _matrix("random_walk", seed=22)
+        sid, sizes = self._logged(tmp_path, values, [40, 100, 110])
+        log = tmp_path / "feeds.log"
+        data = bytearray(log.read_bytes())
+        data[sizes[1] - 1] ^= 0x01  # the last body byte of the second record
+        log.write_bytes(bytes(data))
+        assert self._finish(tmp_path, sid, values) == 40
+        assert self._finish(tmp_path, sid, values) == len(values)
+
+    def test_stale_log_applies_nothing_twice(self, tmp_path):
+        """A crash after a checkpoint's files but before its log unlink
+        leaves a log whose rows the session files already hold."""
+        values = _matrix("random_walk", seed=23)
+        mgr = SessionManager()
+        sid = mgr.create(N, K, seed=6)
+        mgr.checkpoint(tmp_path)
+        mgr.feed_many(sid, values[:30])
+        mgr.drain()
+        mgr.feed_many(sid, values[30:60])  # left pending: 30 stepped rows, 30 queued
+        stale = (tmp_path / "feeds.log").read_bytes()
+        mgr.checkpoint(tmp_path)
+        assert not (tmp_path / "feeds.log").exists()
+        (tmp_path / "feeds.log").write_bytes(stale)
+        assert self._finish(tmp_path, sid, values) == 60
+        assert self._finish(tmp_path, sid, values) == len(values)
+
+    def test_replay_skips_the_rows_a_session_file_holds(self, tmp_path):
+        """A record whose first rows the session file already holds
+        contributes only the rest."""
+        values = _matrix("random_walk", seed=28)
+        for directory, fed in ((tmp_path / "a", 30), (tmp_path / "b", 60)):
+            mgr = SessionManager()
+            sid = mgr.create(N, K, seed=6)
+            mgr.checkpoint(directory)
+            mgr.feed_many(sid, values[:fed])  # b: one 60-row record
+        mgr = SessionManager(restore=tmp_path / "a")
+        mgr.checkpoint(tmp_path / "a")  # a: a session file of 30 rows
+        shutil.copy(tmp_path / "a" / f"{sid}.json", tmp_path / "b")
+        assert self._finish(tmp_path / "b", sid, values) == 60
+
+    def test_log_record_past_the_checkpoint_is_refused(self, tmp_path):
+        values = _matrix("random_walk", seed=24)
+        mgr = SessionManager()
+        sid = mgr.create(N, K, seed=6)
+        mgr.checkpoint(tmp_path)
+        empty = (tmp_path / f"{sid}.json").read_bytes()
+        mgr.feed_many(sid, values[:30])
+        mgr.checkpoint(tmp_path)
+        mgr.feed_many(sid, values[30:50])  # logged as starting at row 30
+        (tmp_path / f"{sid}.json").write_bytes(empty)  # a session file of 0 rows
+        with pytest.raises(ConfigurationError, match=f"session '{sid}'.*row 30"):
+            SessionManager(restore=tmp_path)
+
+    def test_log_records_of_unlisted_sessions_are_skipped(self, tmp_path):
+        values = _matrix("random_walk", seed=25)
+        mgr = SessionManager()
+        sid = mgr.create(N, K, seed=6)
+        mgr.checkpoint(tmp_path)
+        late = mgr.create(N, K, seed=7)  # never checkpointed
+        mgr.feed_many(late, values[:10])
+        mgr.feed_many(sid, values[:10])
+        restored = SessionManager(restore=tmp_path)
+        assert restored.session_ids() == [sid]
+        assert restored.pending(sid) == 10
+
+    def test_replayed_rows_survive_the_next_checkpoint(self, tmp_path):
+        """Compacting a restored manager writes the rows it replayed into
+        the session file before it unlinks the log that held them."""
+        values = _matrix("random_walk", seed=27)
+        mgr = SessionManager()
+        sid = mgr.create(N, K, seed=6)
+        mgr.checkpoint(tmp_path)
+        mgr.feed_many(sid, values[:30])
+        SessionManager(restore=tmp_path).checkpoint(tmp_path)
+        assert not (tmp_path / "feeds.log").exists()
+        assert self._finish(tmp_path, sid, values) == 30
+
+    @pytest.mark.parametrize(
+        "low, span, width",
+        [
+            (-7, 255, 1),
+            (-300, 256, 2),
+            (10**12, 65_535, 2),
+            (-5, 2**32 - 1, 4),
+            (-(2**31), 2**32, 8),
+            (int(np.iinfo(np.int64).min), 2**64 - 1, 8),
+        ],
+        ids=["u8", "u16-edge", "u16", "u32", "int64", "int64-extremes"],
+    )
+    def test_log_body_round_trips(self, low, span, width, tmp_path):
+        """Frame-of-reference bodies: the narrowest width that holds the
+        block's span, exact values back (negative and int64 extremes)."""
+        deltas = [[0, span, span // 3, 1], [span - 1, 2, 0, span // 2]]
+        block = np.array([[low + d for d in row] for row in deltas], dtype=np.int64)
+        mgr = SessionManager()
+        sid = mgr.create(4, 2, seed=1)
+        mgr.checkpoint(tmp_path)
+        mgr.feed_many(sid, block)
+        header = 34  # 8-byte length and CRC, then the 26-byte header
+        assert (tmp_path / "feeds.log").stat().st_size == header + len(sid) + block.size * width
+        mgr.feed(sid, block[1])
+        restored = SessionManager(restore=tmp_path)
+        assert restored.export_session(sid)["inbox"] == block.tolist() + [block[1].tolist()]
+
+    @pytest.mark.parametrize("failure", ["short", "error"])
+    def test_failed_log_write_queues_nothing(self, failure, tmp_path, monkeypatch):
+        """A feed whose record is not written whole fails, queues nothing,
+        and leaves the log at its last complete record."""
+        values = _matrix("random_walk", seed=26)
+        mgr = SessionManager()
+        sid = mgr.create(N, K, seed=6)
+        mgr.checkpoint(tmp_path)
+        mgr.feed_many(sid, values[:20])
+        good = (tmp_path / "feeds.log").stat().st_size
+
+        def broken_writev(fd, parts):
+            if failure == "error":
+                raise OSError(28, "No space left on device")
+            return os.write(fd, bytes(parts[0])[:5])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "writev", broken_writev)
+            with pytest.raises(ServiceError, match="could not log"):
+                mgr.feed_many(sid, values[20:40])
+        assert mgr.pending(sid) == 20
+        assert (tmp_path / "feeds.log").stat().st_size == good
+        mgr.feed_many(sid, values[20:50])
+        assert self._finish(tmp_path, sid, values) == 50
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_log_file_is_closed(self, tmp_path):
+        """The log is closed at compaction, on a switch of directory, and
+        when its manager is collected."""
+
+        def open_logs():  # open, or unlinked but still open
+            targets = []
+            for fd in os.listdir("/proc/self/fd"):
+                with contextlib.suppress(OSError):
+                    targets.append(os.readlink(f"/proc/self/fd/{fd}"))
+            return sum(target.startswith(str(tmp_path.resolve())) for target in targets)
+
+        mgr = SessionManager()
+        sid = mgr.create(4, 2, seed=1)
+        mgr.checkpoint(tmp_path / "a")
+        mgr.feed(sid, [1, 2, 3, 4])
+        assert open_logs() == 1
+        mgr.checkpoint(tmp_path / "a")
+        assert open_logs() == 0
+        mgr.feed(sid, [1, 2, 3, 4])
+        mgr.checkpoint(tmp_path / "b")
+        assert open_logs() == 0
+        mgr.feed(sid, [1, 2, 3, 4])
+        del mgr
+        gc.collect()
+        assert open_logs() == 0
+
     def test_idle_checkpoint_is_a_no_op(self, tmp_path):
         """Re-checkpointing with nothing dirty must not rewrite files
-        (the server calls checkpoint() after every idle transition)."""
+        (the server's timer calls checkpoint() on every tick, fed or not)."""
         mgr = SessionManager()
         mgr.create(4, 2, seed=1)
         mgr.checkpoint(tmp_path)
@@ -831,6 +1066,40 @@ class TestServiceCli:
             if proc.poll() is None:
                 proc.kill()
         offline = TopKMonitor(n=N, k=K, seed=77).run(values)
+        assert state["topk"] == offline.topk_history[-1].tolist()
+        assert state["messages"] == offline.total_messages
+
+    def test_kill_dash_nine_loses_no_acked_row(self, tmp_path):
+        """SIGKILL with no checkpoint op after four acked feeds: the
+        restarted server replays its feed log and holds every acked row."""
+        values = get_workload("random_walk", N, 2400, seed=12).generate()
+        proc, address = self._spawn("--checkpoint-dir", str(tmp_path))
+        try:
+            with ServiceClient(address) as client:
+                session = client.create_session(n=N, k=K, seed=78)
+                sid = session.id
+                for start in range(0, 2000, 500):
+                    session.feed_rows(values[start:start + 500])
+        finally:
+            proc.kill()  # no checkpoint op, no shutdown hook
+            proc.communicate(timeout=10)
+
+        proc, address = self._spawn("--checkpoint-dir", str(tmp_path))
+        try:
+            with ServiceClient(address) as client:
+                session = client.session(sid)
+                state = session.query()
+                assert state["time"] + 1 + state["pending"] == 2000
+                session.feed_rows(values[2000:])
+                state = session.query(wait=True)
+                client.shutdown()
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate(timeout=10)
+        offline = repro.run(repro.RunSpec(values, k=K, seed=78, engine="vectorized"))
+        assert state["time"] == len(values) - 1
         assert state["topk"] == offline.topk_history[-1].tolist()
         assert state["messages"] == offline.total_messages
 
