@@ -16,6 +16,11 @@ answers must be current):
   front end (``python -m repro.service --serve host:port``, durable with
   ``--checkpoint-dir``) with bounded per-session inboxes (backpressure)
   and a metrics endpoint.
+* :class:`~repro.service.protocol.Frontend` — the connection layer both
+  front doors share (the listener, the JSONL and binary-frame loops, the
+  error envelope; each front door adds only its state and an op table),
+  with :class:`~repro.service.protocol.ServingHandle`, the thread-and-loop
+  helper behind :func:`start_server` / :func:`start_fleet`.
 * :class:`~repro.service.client.ServiceClient` — the blocking client:
   push-a-row / read-top-k / read-message-count / checkpoint.
 * :class:`~repro.service.fleet.FleetRouter` — the multi-process form

@@ -108,69 +108,37 @@ def _split_address(value: str) -> tuple[str, int]:
     return host, int(port)
 
 
-async def _serve(
-    host: str,
-    port: int,
-    *,
-    inbox_limit: int,
-    batch: bool,
-    lookahead: bool,
-    batch_linger: float,
-    checkpoint_dir: str | None,
-    checkpoint_interval: float | None,
-) -> None:
-    server = ServiceServer(
-        host, port,
-        inbox_limit=inbox_limit, batch=batch, lookahead=lookahead,
-        batch_linger=batch_linger, checkpoint_dir=checkpoint_dir,
-        checkpoint_interval=checkpoint_interval,
+async def _serve(args: argparse.Namespace, host: str, port: int) -> None:
+    options = dict(
+        inbox_limit=args.inbox_limit, batch=not args.no_batch, lookahead=not args.no_lookahead,
+        batch_linger=args.batch_linger, checkpoint_dir=args.checkpoint_dir,
     )
-    await server.start()
-    bound_host, bound_port = server.address
-    print(f"listening on {bound_host}:{bound_port}", flush=True)
-    if checkpoint_dir is not None and len(server.manager):
-        print(f"restored {len(server.manager)} sessions from {checkpoint_dir}", flush=True)
-    await server.run_until_stopped()
-    print("service stopped", flush=True)
+    if args.workers > 1:
+        from repro.service.fleet import DEFAULT_CHECKPOINT_INTERVAL, FleetRouter
 
-
-async def _serve_fleet(
-    host: str,
-    port: int,
-    *,
-    workers: int,
-    inbox_limit: int,
-    batch: bool,
-    lookahead: bool,
-    batch_linger: float,
-    checkpoint_dir: str | None,
-    checkpoint_interval: float | None,
-) -> None:
-    from repro.service.fleet import DEFAULT_CHECKPOINT_INTERVAL, FleetRouter
-
-    router = FleetRouter(
-        host, port,
-        workers=workers, inbox_limit=inbox_limit, batch=batch,
-        lookahead=lookahead, batch_linger=batch_linger,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_interval=(
-            checkpoint_interval if checkpoint_interval is not None
-            else DEFAULT_CHECKPOINT_INTERVAL
-        ),
-    )
+        interval = args.checkpoint_interval
+        frontend = FleetRouter(
+            host, port, workers=args.workers, **options,
+            checkpoint_interval=DEFAULT_CHECKPOINT_INTERVAL if interval is None else interval,
+        )
+    else:
+        frontend = ServiceServer(
+            host, port, checkpoint_interval=args.checkpoint_interval, **options
+        )
     try:
-        await router.start()
-        bound_host, bound_port = router.address
+        await frontend.start()
+        bound_host, bound_port = frontend.address
         print(f"listening on {bound_host}:{bound_port}", flush=True)
-        print(f"fleet: {workers} workers + standby", flush=True)
-        if len(router._sessions):
-            print(f"restored {len(router._sessions)} sessions from {checkpoint_dir}",
-                  flush=True)
-        await router.run_until_stopped()
+        if args.workers > 1:
+            print(f"fleet: {args.workers} workers + standby", flush=True)
+        restored = frontend.describe()["sessions"] if args.workers > 1 else len(frontend.manager)
+        if restored:
+            print(f"restored {restored} sessions from {args.checkpoint_dir}", flush=True)
+        await frontend.run_until_stopped()
         print("service stopped", flush=True)
     finally:
-        # SIGINT/cancellation must never orphan the worker children.
-        router.emergency_kill()
+        # SIGINT/cancellation must never orphan a fleet's worker children.
+        frontend.emergency_kill()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -190,14 +158,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.workers < 1:
             print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
             return 2
-        options = dict(
-            inbox_limit=args.inbox_limit,
-            batch=not args.no_batch,
-            lookahead=not args.no_lookahead,
-            batch_linger=args.batch_linger,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_interval=args.checkpoint_interval,
-        )
         # uvloop, when present, is adopted for the whole serving process
         # (workers inherit it too: they re-run this entry point).  It is
         # strictly optional — CI and the stock toolchain run without it.
@@ -206,10 +166,7 @@ def main(argv: list[str] | None = None) -> int:
 
             asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
         try:
-            if args.workers > 1:
-                asyncio.run(_serve_fleet(host, port, workers=args.workers, **options))
-            else:
-                asyncio.run(_serve(host, port, **options))
+            asyncio.run(_serve(args, host, port))
         except KeyboardInterrupt:
             print("service stopped", flush=True)
         except (OSError, ServiceError) as exc:

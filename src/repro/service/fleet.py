@@ -1,11 +1,13 @@
 """Fleet router: shard the session service across worker processes.
 
-A :class:`FleetRouter` is a controller process that speaks the *same*
-JSONL wire protocol as a single :class:`~repro.service.server.ServiceServer`
-(clients cannot tell the difference) but hosts no sessions itself: it
-consistent-hashes each session's *batch group* onto one of N worker
-processes — each worker a full ``python -m repro.service --serve`` child
-with its own event loop, manager, and checkpoint directory.
+A :class:`FleetRouter` is a controller process served by the same
+connection layer as a single :class:`~repro.service.server.ServiceServer`
+(:class:`~repro.service.protocol.Frontend`: one wire protocol in both
+framings, one error envelope — clients cannot tell the difference) but
+hosts no sessions itself: its op table consistent-hashes each session's
+*batch group* onto one of N worker processes — each worker a full
+``python -m repro.service --serve`` child with its own event loop,
+manager, and checkpoint directory.
 
 Why shard by batch group, not by session?  The manager's whole speedup is
 the stacked ``(n, k)`` sweep (:meth:`~repro.service.manager.SessionManager.step`):
@@ -49,8 +51,10 @@ start at which it is SIGKILLed; recovery *is* the standby failover, so
 ``up_at`` needs no action.
 
 :func:`start_fleet` runs the router (and its workers) behind a daemon
-thread and returns a :class:`FleetHandle` — the ``workers=N`` form of
-:func:`repro.serve`.
+thread, through the same
+:meth:`~repro.service.protocol.ServingHandle.launch` as
+:func:`~repro.service.server.start_server`, and returns a
+:class:`FleetHandle` — the ``workers=N`` form of :func:`repro.serve`.
 """
 
 from __future__ import annotations
@@ -64,10 +68,11 @@ import os
 import shutil
 import sys
 import tempfile
-import threading
 import traceback
 from collections import deque
 from pathlib import Path
+
+import numpy as np
 
 from repro.errors import ConfigurationError, ReproError, ServiceError
 from repro.obs.registry import (
@@ -84,7 +89,14 @@ from repro.service.manager import (
     _atomic_write,
     _check_session_id,
 )
-from repro.service.server import _LINE_LIMIT, _encode, _session_field, new_event_loop
+from repro.service.protocol import (
+    LINE_LIMIT,
+    Forwarded,
+    Frontend,
+    ServingHandle,
+    encode_line,
+    session_field,
+)
 
 __all__ = [
     "HashRing",
@@ -227,14 +239,6 @@ class _WorkerLost(ServiceError):
     """The connection to a worker died mid-request (internal marker)."""
 
 
-class _Forwarded(Exception):
-    """Carries a worker's failure reply verbatim to the client."""
-
-    def __init__(self, reply: dict):
-        super().__init__(reply.get("error", "worker request failed"))
-        self.reply = reply
-
-
 class _SessionRoute:
     """Router-side state of one session: where it lives, what was fed.
 
@@ -300,7 +304,7 @@ class _WorkerProc:
                     await self._writer.drain()
                     kind, body = await _wire.read_frame(self._reader)
                     return _wire.decode_reply(kind, body)
-                self._writer.write(_encode(payload))
+                self._writer.write(encode_line(payload))
                 await self._writer.drain()
                 line = await self._reader.readline()
             except (_wire.FrameEOF, _wire.FrameError, _wire.FramePayloadError) as exc:
@@ -321,11 +325,11 @@ class _WorkerProc:
         other request to this worker behind one slow waiter.
         """
         try:
-            reader, writer = await asyncio.open_connection(*self.address, limit=_LINE_LIMIT)
+            reader, writer = await asyncio.open_connection(*self.address, limit=LINE_LIMIT)
         except (ConnectionError, OSError) as exc:
             raise _WorkerLost(f"worker {self.slot} unreachable: {exc}") from exc
         try:
-            writer.write(_encode(payload))
+            writer.write(encode_line(payload))
             await writer.drain()
             line = await reader.readline()
             if not line:
@@ -362,7 +366,7 @@ async def _drain_stdout(proc, log) -> None:
         return
 
 
-class FleetRouter:
+class FleetRouter(Frontend):
     """Route the session-service wire protocol across N worker processes.
 
     Args
@@ -419,8 +423,17 @@ class FleetRouter:
             raise ConfigurationError(
                 f"checkpoint_interval must be > 0 seconds, got {checkpoint_interval}"
             )
-        self._host = host
-        self._port = port
+        super().__init__(host, port, {
+            "create": self._op_create,
+            "feed": self._op_feed,
+            "query": self._op_query,
+            "close": self._op_close,
+            "metrics": self._op_metrics,
+            "obs": self._op_obs,
+            "sessions": lambda request: {"sessions": list(self._sessions)},
+            "checkpoint": self._op_checkpoint,
+            "fleet": lambda request: {"fleet": self.describe()},
+        })
         self.n_workers = workers
         self.inbox_limit = inbox_limit
         self.batch = batch
@@ -444,10 +457,6 @@ class FleetRouter:
         self._failover_latencies: list[float] = []
         self._rows_replayed = 0
         self._stopping = False
-        self.address: tuple[str, int] | None = None
-        self._server: asyncio.Server | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._stopped: asyncio.Event | None = None
         self._monitors: list[asyncio.Task] = []
         self._timer_task: asyncio.Task | None = None
         self._fault_task: asyncio.Task | None = None
@@ -475,10 +484,7 @@ class FleetRouter:
         await self._rebuild_routes(saved)
         for slot, worker in self._workers.items():
             self._monitors.append(asyncio.create_task(self._monitor_worker(slot, worker)))
-        self._server = await asyncio.start_server(
-            self._handle_client, self._host, self._port, limit=_LINE_LIMIT
-        )
-        self.address = self._server.sockets[0].getsockname()[:2]
+        await self._listen()
         if self.checkpoint_interval is not None:
             self._timer_task = asyncio.create_task(self._checkpoint_timer())
         if self.fault_plan is not None and getattr(self.fault_plan, "crashes", ()):
@@ -500,26 +506,9 @@ class FleetRouter:
         if self._standby is not None:
             stops.append(self._stop_worker(self._standby))
         await asyncio.gather(*stops, return_exceptions=True)
-        self._server.close()
-        await self._server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
         if self._owns_root:
             shutil.rmtree(self._root, ignore_errors=True)
-        current = asyncio.current_task()
-        for task in asyncio.all_tasks():
-            if task is not current and not task.done():
-                task.cancel()
-
-    async def serve(self) -> None:
-        """``start`` + ``run_until_stopped`` in one call (the CLI entry)."""
-        await self.start()
-        await self.run_until_stopped()
-
-    def request_stop(self) -> None:
-        """Ask the fleet to shut down (safe from a loop callback)."""
-        if self._stopped is not None:
-            self._stopped.set()
+        await self._unlisten()
 
     def emergency_kill(self) -> None:
         """SIGKILL every child (the last-resort cleanup on abnormal exit)."""
@@ -584,7 +573,7 @@ class FleetRouter:
                 if text.startswith("listening on "):
                     host, _, port = text.removeprefix("listening on ").rpartition(":")
                     address = (host, int(port))
-            reader, writer = await asyncio.open_connection(*address, limit=_LINE_LIMIT)
+            reader, writer = await asyncio.open_connection(*address, limit=LINE_LIMIT)
             # The router-worker link is internal, so it always asks for the
             # binary framing; any non-acceptance degrades to JSONL and a
             # genuinely dead child surfaces as _WorkerLost on first use.
@@ -928,169 +917,6 @@ class FleetRouter:
             return (0, int(slot[1:])) if slot[1:].isdigit() else (1, slot)
         return sorted(self._workers, key=_key)
 
-    # -------------------------------------------------------- client side
-
-    async def _handle_client(self, reader, writer) -> None:
-        self._writers.add(writer)
-        try:
-            binary = False
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(_encode({"ok": False, "error": "request line too long",
-                                          "code": "bad_request"}))
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                response, stop_after = await self._dispatch(line)
-                writer.write(_encode(response))
-                await writer.drain()
-                if stop_after:
-                    self.request_stop()
-                    break
-                if response.get("ok") and response.get("wire") == "binary":
-                    # Accepted binary hello — same switch point as a
-                    # single server; clients cannot tell a fleet apart.
-                    binary = True
-                    break
-            if binary:
-                await self._serve_binary(reader, writer)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            with contextlib.suppress(Exception, asyncio.CancelledError):
-                await writer.wait_closed()
-
-    async def _serve_binary(self, reader, writer) -> None:
-        """Framed loop after a successful hello (mirrors the server's)."""
-        while True:
-            try:
-                kind, payload = await _wire.read_frame(reader)
-            except _wire.FrameEOF:
-                return
-            except _wire.FrameError as exc:
-                writer.write(_wire.encode_json(
-                    {"ok": False, "error": str(exc), "code": "bad_frame"}
-                ))
-                await writer.drain()
-                return
-            stop_after = False
-            if kind == _wire.KIND_FEED:
-                reply = await self._feed_frame(payload)
-            else:
-                response, stop_after = await self._dispatch(payload)
-                reply = _wire.encode_json(response)
-            writer.write(reply)
-            await writer.drain()
-            if stop_after:
-                self.request_stop()
-                return
-
-    async def _feed_frame(self, payload: bytes) -> bytes:
-        """Decode one packed feed, route it, pre-encode the packed ack.
-
-        The router journals the *decoded rows* (plain lists), never the
-        frame — exactly-once replay and trace continuity across failover
-        are framing-agnostic by construction.
-        """
-        t0 = _obs_clock()
-        try:
-            batches, replay, trace = _wire.decode_feed(payload)
-        except _wire.FramePayloadError as exc:
-            return _wire.encode_json({"ok": False, "error": str(exc), "code": "bad_frame"})
-        decode_seconds = _obs_clock() - t0
-        acks = []
-        rows_total = 0
-        for session_id, rows in batches:
-            request: dict = {"op": "feed", "session": session_id, "rows": rows.tolist()}
-            if trace is not None:
-                request["trace"] = trace
-            if replay:
-                request["replay"] = True
-            response, _ = await self._dispatch_request(request)
-            if not response.get("ok"):
-                return _wire.encode_json(response)
-            rows_total += len(rows)
-            acks.append((int(response["pending"]), int(response["time"])))
-        t1 = _obs_clock()
-        frame = _wire.encode_ack(acks)
-        _wire.observe("binary", rows_total, decode_seconds + (_obs_clock() - t1))
-        return frame
-
-    async def _dispatch(self, line: bytes) -> tuple[dict, bool]:
-        # Mirrors ServiceServer._dispatch: same protocol, same error
-        # envelope — clients must not be able to tell a fleet apart.
-        t0 = _obs_clock()
-        try:
-            request = json.loads(line)  # reprolint: disable=R4 — the JSONL debug path
-        except json.JSONDecodeError as exc:
-            return {"ok": False, "error": f"malformed JSON: {exc}", "code": "bad_json"}, False
-        except UnicodeDecodeError as exc:
-            return {"ok": False, "error": f"malformed frame: {exc}", "code": "bad_json"}, False
-        decode_seconds = _obs_clock() - t0
-        if not isinstance(request, dict):
-            return {"ok": False, "error": "request must be a JSON object",
-                    "code": "bad_request"}, False
-        response, stop_after = await self._dispatch_request(request)
-        if request.get("op") == "feed" and response.get("ok"):
-            rows = 1 if "row" in request else len(request.get("rows") or ())
-            _wire.observe("jsonl", rows, decode_seconds)
-        return response, stop_after
-
-    async def _dispatch_request(self, request: dict) -> tuple[dict, bool]:
-        op = request.get("op")
-        correlation = {"id": request["id"]} if "id" in request else {}
-        stop_after = False
-        try:
-            if op == "create":
-                payload = await self._op_create(request)
-            elif op == "feed":
-                payload = await self._op_feed(request)
-            elif op == "query":
-                payload = await self._op_query(request)
-            elif op == "close":
-                payload = await self._op_close(request)
-            elif op == "metrics":
-                payload = await self._op_metrics()
-            elif op == "obs":
-                payload = await self._op_obs(request)
-            elif op == "sessions":
-                payload = {"sessions": list(self._sessions)}
-            elif op == "checkpoint":
-                payload = {"sessions": await self._checkpoint_fleet(),
-                           "dir": str(self._root)}
-            elif op == "fleet":
-                payload = {"fleet": self.describe()}
-            elif op == "ping":
-                payload = {}
-            elif op == "hello":
-                payload = self._op_hello(request)
-            elif op == "shutdown":
-                payload = {}
-                stop_after = True
-            else:
-                raise ServiceError(f"unknown op {op!r}")
-        except _Forwarded as exc:
-            forwarded = {k: v for k, v in exc.reply.items() if k != "id"}
-            return {**forwarded, **correlation}, False
-        except ConfigurationError as exc:
-            return {"ok": False, "error": str(exc), "code": "bad_request", **correlation}, False
-        except ReproError as exc:
-            return {"ok": False, "error": str(exc), "code": "error", **correlation}, False
-        except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:
-            detail = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
-            return {"ok": False, "error": f"bad request: {detail}",
-                    "code": "bad_request", **correlation}, False
-        except Exception as exc:
-            traceback.print_exc()
-            return {"ok": False, "error": f"internal error: {type(exc).__name__}: {exc}",
-                    "code": "internal", **correlation}, False
-        return {"ok": True, **payload, **correlation}, stop_after
-
     def _route(self, session_id: str) -> _SessionRoute:
         try:
             return self._sessions[session_id]
@@ -1098,22 +924,6 @@ class FleetRouter:
             raise ServiceError(f"unknown session {session_id!r}") from None
 
     # ------------------------------------------------------------------ ops
-
-    def _op_hello(self, request: dict) -> dict:
-        """Negotiate the connection's framing (mirrors the server's).
-
-        Only an exact ``wire="binary"`` + matching version upgrades; any
-        other ask is answered ``wire="jsonl"`` so unknown framings degrade
-        to the debug path instead of erroring.
-        """
-        wanted = request.get("wire", "jsonl")
-        try:
-            version = int(request.get("version", _wire.WIRE_VERSION))
-        except (TypeError, ValueError):
-            version = -1
-        if wanted == "binary" and version == _wire.WIRE_VERSION:
-            return {"wire": "binary", "version": _wire.WIRE_VERSION}
-        return {"wire": "jsonl"}
 
     async def _op_create(self, request: dict) -> dict:
         session_id = request.get("session")
@@ -1124,9 +934,7 @@ class FleetRouter:
             _check_session_id(session_id)
         if session_id in self._sessions:
             raise ConfigurationError(f"session id {session_id!r} already exists")
-        group = str(request.get("group") or batch_group(
-            int(request["n"]), int(request["k"]), session_id
-        ))
+        group = batch_group(int(request["n"]), int(request["k"]), session_id)
         slot = self._ring.lookup(group)
         message = {"op": "create", "n": request["n"], "k": request["k"],
                    "session": session_id}
@@ -1152,18 +960,23 @@ class FleetRouter:
                              "engine": probe["engine"]}
                     break
         if not reply.get("ok"):
-            raise _Forwarded(reply)
+            raise Forwarded(reply)
         self._sessions[session_id] = _SessionRoute(group, slot)
         self._persist_routes()
         return {"session": session_id, "engine": reply.get("engine")}
 
     async def _op_feed(self, request: dict) -> dict:
-        session_id = _session_field(request)
+        session_id = session_field(request)
         route = self._route(session_id)
         if "row" in request:
             rows = [request["row"]]
         else:
             rows = request.get("rows")
+            if isinstance(rows, np.ndarray):
+                # A decoded binary block: the journal holds plain lists, so
+                # exactly-once replay and trace continuity across failover
+                # stay framing-agnostic.
+                rows = rows.tolist()
             if not rows:
                 raise ServiceError("feed needs a 'row' or a non-empty 'rows' list")
             rows = list(rows)
@@ -1229,10 +1042,10 @@ class FleetRouter:
                     for _ in rows:
                         route.journal.pop()
                     route.next_seq = start_seq
-                raise _Forwarded(reply)
+                raise Forwarded(reply)
 
     async def _op_query(self, request: dict) -> dict:
-        session_id = _session_field(request)
+        session_id = session_field(request)
         route = self._route(session_id)
         wait = bool(request.get("wait"))
         while True:
@@ -1254,11 +1067,11 @@ class FleetRouter:
                 await self._wait_replaced(slot, worker)
                 continue  # queries are idempotent: retry on the new worker
             if not reply.get("ok"):
-                raise _Forwarded(reply)
+                raise Forwarded(reply)
             return {k: v for k, v in reply.items() if k not in ("ok", "id")}
 
     async def _op_close(self, request: dict) -> dict:
-        session_id = _session_field(request)
+        session_id = session_field(request)
         route = self._route(session_id)
         async with route.lock:
             if self._sessions.get(session_id) is not route:
@@ -1284,12 +1097,15 @@ class FleetRouter:
                     del self._sessions[session_id]
                     self._persist_routes()
                     return {"session": session_id, "closed": True}
-                raise _Forwarded(reply)
+                raise Forwarded(reply)
             del self._sessions[session_id]
             self._persist_routes()
             return {k: v for k, v in reply.items() if k not in ("ok", "id")}
 
-    async def _op_metrics(self) -> dict:
+    async def _op_checkpoint(self, request: dict) -> dict:
+        return {"sessions": await self._checkpoint_fleet(), "dir": str(self._root)}
+
+    async def _op_metrics(self, request: dict) -> dict:
         from repro.service.metrics import aggregate_snapshots
 
         per_worker: dict[str, dict] = {}
@@ -1481,28 +1297,24 @@ class FleetRouter:
         return pid
 
 
-class FleetHandle:
+class FleetHandle(ServingHandle):
     """A fleet router (and its worker processes) on a background thread.
 
     Returned by :func:`start_fleet` / ``repro.serve(workers=N)``; usable
     as a context manager.  ``close()`` shuts the router, the workers, and
-    the standby down cleanly.
+    the standby down cleanly, and SIGKILLs the children if the router
+    thread wedges.
     """
 
-    def __init__(self, router: FleetRouter, loop, thread):
-        self._router = router
-        self._loop = loop
-        self._thread = thread
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """``(host, port)`` the router is listening on."""
-        return self._router.address
+    thread_name = "repro-fleet"
+    label = "fleet"
+    start_timeout = 120.0
+    join_timeout = 60.0
 
     @property
     def router(self) -> FleetRouter:
         """The underlying router (inspect only — it lives on its thread)."""
-        return self._router
+        return self._frontend
 
     def _call(self, coro, timeout: float = 120.0):
         future = asyncio.run_coroutine_threadsafe(coro, self._loop)
@@ -1511,7 +1323,7 @@ class FleetHandle:
     def workers(self) -> dict:
         """Topology snapshot (same shape as the ``fleet`` wire op)."""
         async def _describe():
-            return self._router.describe()
+            return self._frontend.describe()
         return self._call(_describe())
 
     def kill_worker(self, which: "int | str" = 0) -> int:
@@ -1520,32 +1332,17 @@ class FleetHandle:
         The fleet fails over to the standby on its own — the next query
         or feed simply parks until the takeover finishes.
         """
-        return self._call(self._router.kill_worker(which))
+        return self._call(self._frontend.kill_worker(which))
 
     def add_worker(self) -> str:
         """Grow the fleet by one worker (live rebalance); returns its slot."""
-        return self._call(self._router.add_worker())
+        return self._call(self._frontend.add_worker())
 
     def remove_worker(self, slot: "int | str") -> int:
         """Shrink the fleet by one worker (live drain); returns sessions moved."""
         async def _remove():
-            return await self._router.remove_worker(self._router.resolve_slot(slot))
+            return await self._frontend.remove_worker(self._frontend.resolve_slot(slot))
         return self._call(_remove())
-
-    def close(self) -> None:
-        """Shut the fleet down and join its thread (idempotent)."""
-        if self._thread.is_alive():
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self._router.request_stop)
-            self._thread.join(timeout=60)
-        if self._thread.is_alive():  # wedged shutdown: never leak children
-            self._router.emergency_kill()
-
-    def __enter__(self) -> "FleetHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def start_fleet(host: str = "127.0.0.1", port: int = 0, **options) -> FleetHandle:
@@ -1565,43 +1362,4 @@ def start_fleet(host: str = "127.0.0.1", port: int = 0, **options) -> FleetHandl
     ServiceError
         If the router or any worker fails to start.
     """
-    started = threading.Event()
-    state: dict = {}
-
-    def _run() -> None:
-        loop = new_event_loop()
-        asyncio.set_event_loop(loop)
-        try:
-            router = FleetRouter(host, port, **options)
-            state["router"] = router
-            state["loop"] = loop
-
-            async def _main() -> None:
-                try:
-                    await router.start()
-                except (OSError, ReproError) as exc:
-                    state["error"] = exc
-                    router.emergency_kill()
-                    started.set()
-                    return
-                started.set()
-                await router.run_until_stopped()
-
-            loop.run_until_complete(_main())
-        except Exception as exc:  # startup errors outside _main (bad options)
-            state["error"] = exc
-            started.set()
-        finally:
-            if "router" in state:
-                state["router"].emergency_kill()
-            loop.close()
-
-    thread = threading.Thread(target=_run, name="repro-fleet", daemon=True)
-    thread.start()
-    started.wait(timeout=120)
-    if "error" in state:
-        thread.join(timeout=10)
-        raise ServiceError(f"fleet failed to start: {state['error']}") from state["error"]
-    if "router" not in state or state["router"].address is None:
-        raise ServiceError("fleet failed to start (thread did not report an address)")
-    return FleetHandle(state["router"], state["loop"], thread)
+    return FleetHandle.launch(lambda: FleetRouter(host, port, **options))

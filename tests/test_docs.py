@@ -5,6 +5,7 @@ keeps `pytest tests/` self-contained.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,5 +62,21 @@ class TestDocSnippets:
             "src/repro/analysis/backends.py",
             "src/repro/analysis/sweeps.py",
             "src/repro/analysis/distributed_backend.py",
+            "src/repro/service/__init__.py",
         )
         assert proc.returncode == 0, proc.stdout
+
+
+class TestWireTable:
+    def test_op_tables_match_the_wire_format_table(self):
+        """The ops the front doors answer are exactly the documented ones."""
+        from repro.service.fleet import FleetRouter
+        from repro.service.protocol import SHARED_OPS
+        from repro.service.server import ServiceServer
+
+        text = (REPO_ROOT / "docs" / "architecture.md").read_text()
+        section = text.split("### Wire format", 1)[1].split("\n### ", 1)[0]
+        documented = set(re.findall(r"^\| `(\w+)` \|", section, flags=re.M))
+        # Neither is started: the router spawns its workers only in start().
+        served = set(ServiceServer().ops) | set(FleetRouter().ops) | set(SHARED_OPS)
+        assert documented == served

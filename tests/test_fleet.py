@@ -217,6 +217,23 @@ class TestFleetDifferential:
         handle.close()
         client.close()
 
+    def test_create_routes_by_batch_group_only(self, fleet4):
+        """A create cannot pin its session onto a worker: the router places
+        every session by its batch group, so a stacked-sweep group never
+        splits, whatever else the request carries."""
+        def sessions_per_slot():
+            return {w["slot"]: w["sessions"] for w in fleet4.workers()["workers"]}
+
+        ring = HashRing(sessions_per_slot())
+        home = ring.lookup(batch_group(4, 2, "pinned"))
+        elsewhere = next(g for g in map(str, range(100)) if ring.lookup(g) != home)
+        before = sessions_per_slot()
+        with ServiceClient(fleet4.address) as client:
+            client.request("create", n=4, k=2, session="pinned", group=elsewhere)
+            after = sessions_per_slot()
+            client.request("close", session="pinned")
+        assert {slot for slot in after if after[slot] != before[slot]} == {home}
+
     def test_fleet_rejects_bad_config(self):
         with pytest.raises(ConfigurationError):
             repro.serve(workers=0)

@@ -18,6 +18,7 @@ import gc
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -1099,6 +1100,52 @@ class TestServiceCli:
                 proc.kill()
             proc.communicate(timeout=10)
         offline = repro.run(repro.RunSpec(values, k=K, seed=78, engine="vectorized"))
+        assert state["time"] == len(values) - 1
+        assert state["topk"] == offline.topk_history[-1].tolist()
+        assert state["messages"] == offline.total_messages
+
+    def test_fleet_restart_restores_sessions(self, tmp_path):
+        """A --workers fleet shut down over the wire restarts on the same
+        --checkpoint-dir with its sessions and finishes the stream
+        bit-identically."""
+        values = _matrix("random_walk", seed=14)
+        argv = ("--workers", "2", "--checkpoint-dir", str(tmp_path))
+
+        def stop(proc):
+            if proc.poll() is None:
+                # SIGINT, not SIGKILL: the router's cleanup kills its workers.
+                proc.send_signal(signal.SIGINT)
+                try:
+                    proc.wait(timeout=30)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+            proc.communicate(timeout=10)
+
+        proc, address = self._spawn(*argv)
+        try:
+            assert proc.stdout.readline().strip() == "fleet: 2 workers + standby"
+            with ServiceClient(address) as client:
+                session = client.create_session(n=N, k=K, seed=79)
+                sid = session.id
+                session.feed_rows(values[:40])
+                client.shutdown()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            stop(proc)
+
+        proc, address = self._spawn(*argv)
+        try:
+            assert proc.stdout.readline().strip() == "fleet: 2 workers + standby"
+            assert proc.stdout.readline().strip() == f"restored 1 sessions from {tmp_path}"
+            with ServiceClient(address) as client:
+                session = client.session(sid)
+                session.feed_rows(values[40:])
+                state = session.query(wait=True)
+                client.shutdown()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            stop(proc)
+        offline = repro.run(repro.RunSpec(values, k=K, seed=79, engine="vectorized"))
         assert state["time"] == len(values) - 1
         assert state["topk"] == offline.topk_history[-1].tolist()
         assert state["messages"] == offline.total_messages

@@ -5,8 +5,8 @@ Three guarantees under test:
 
 * a misbehaving *connection* (malformed, non-UTF-8, oversized, or slow
   frames — JSONL lines or binary frames alike; an op handler that throws)
-  damages only that connection — the server answers a structured error
-  and keeps serving everyone else;
+  damages only that connection — the server, or a fleet router, answers
+  a structured error and keeps serving everyone else;
 * a client facing a dead or flaky server fails *typed* and within its
   retry budget (:class:`~repro.errors.ServiceConnectError`), while
   idempotent ops ride transparent reconnects (renegotiating binary
@@ -29,7 +29,7 @@ import pytest
 import repro
 from repro.core.monitor import TopKMonitor
 from repro.errors import ServiceConnectError, ServiceError
-from repro.service import ServiceClient, SessionManager, start_server
+from repro.service import ServiceClient, SessionManager, start_fleet, start_server
 from repro.service import wire
 from repro.service.client import RetryPolicy
 from repro.streams import get_workload
@@ -66,38 +66,58 @@ def _free_port() -> int:
         return sock.getsockname()[1]
 
 
+@pytest.fixture(scope="module")
+def fleet():
+    """One 2-worker fleet shared by every containment case run against
+    the router (the connection layer is the same code as a server's)."""
+    with start_fleet(workers=2) as handle:
+        yield handle
+
+
 class TestGarbageFrames:
-    def test_malformed_frames_answer_structured_errors(self):
+    @pytest.fixture
+    def front(self):
         with start_server() as server:
-            non_utf8 = b"\xff\xfe\x00garbage\n"
-            broken_json = b'{"op": "ping", \n'
-            non_object = '"not an object"'
-            replies = _raw_exchange(
-                server.address, [non_utf8, broken_json, non_object, {"op": "ping"}]
-            )
-            assert replies[0]["code"] == "bad_json"
-            assert replies[1]["code"] == "bad_json"
-            assert replies[2]["code"] == "bad_request"
-            # The same connection shrugs it all off.
-            assert replies[3]["ok"] is True
+            yield server
 
-    def test_oversized_frame_kills_only_that_connection(self):
-        with start_server() as server:
-            huge = b'{"op": "ping", "pad": "' + b"x" * (2 << 20) + b'"}\n'
-            [reply] = _raw_exchange(server.address, [huge])
-            assert reply is None or (reply["ok"] is False and reply["code"] == "bad_request")
-            # The listener survives: a fresh client is served normally.
-            with ServiceClient(server.address) as client:
-                assert client.ping()
+    def test_malformed_frames_answer_structured_errors(self, front):
+        non_utf8 = b"\xff\xfe\x00garbage\n"
+        broken_json = b'{"op": "ping", \n'
+        non_object = '"not an object"'
+        replies = _raw_exchange(
+            front.address, [non_utf8, broken_json, non_object, {"op": "ping"}]
+        )
+        assert replies[0]["code"] == "bad_json"
+        assert replies[1]["code"] == "bad_json"
+        assert replies[2]["code"] == "bad_request"
+        # The same connection shrugs it all off.
+        assert replies[3]["ok"] is True
 
-    def test_slow_partial_frame_is_just_a_slow_frame(self):
-        with start_server() as server:
-            with socket.create_connection(tuple(server.address), timeout=10) as sock:
-                sock.sendall(b'{"op": "pi')
-                time.sleep(0.2)
-                sock.sendall(b'ng"}\n')
-                reply = json.loads(sock.makefile("rb").readline())
-            assert reply["ok"] is True
+    def test_oversized_frame_kills_only_that_connection(self, front):
+        huge = b'{"op": "ping", "pad": "' + b"x" * (2 << 20) + b'"}\n'
+        [reply] = _raw_exchange(front.address, [huge])
+        assert reply is None or (reply["ok"] is False and reply["code"] == "bad_request")
+        # The listener survives: a fresh client is served normally.
+        with ServiceClient(front.address) as client:
+            assert client.ping()
+
+    def test_slow_partial_frame_is_just_a_slow_frame(self, front):
+        with socket.create_connection(tuple(front.address), timeout=10) as sock:
+            sock.sendall(b'{"op": "pi')
+            time.sleep(0.2)
+            sock.sendall(b'ng"}\n')
+            reply = json.loads(sock.makefile("rb").readline())
+        assert reply["ok"] is True
+
+    def test_non_string_op_is_an_unknown_op(self, front):
+        """An unhashable op (a JSON list or object) answers like any
+        unknown op instead of failing the op-table lookup."""
+        replies = _raw_exchange(
+            front.address, [{"op": ["ping"], "id": 1}, {"op": {"x": 1}}, {"op": "ping"}]
+        )
+        assert replies[0] == {"ok": False, "error": "unknown op ['ping']", "code": "error", "id": 1}
+        assert replies[1] == {"ok": False, "error": "unknown op {'x': 1}", "code": "error"}
+        assert replies[2]["ok"] is True
 
     def test_handler_bug_fails_the_request_not_the_server(self, capfd):
         """An exception escaping an op handler answers code="internal"."""
@@ -123,6 +143,17 @@ class TestGarbageFrames:
         capfd.readouterr()  # swallow the server-side traceback print
 
 
+class TestGarbageFramesOnFleet(TestGarbageFrames):
+    """The same garbage, sent to a fleet router instead of a server."""
+
+    @pytest.fixture
+    def front(self, fleet):
+        return fleet
+
+    # Injects a broken SessionManager, which only a plain server hosts.
+    test_handler_bug_fails_the_request_not_the_server = None
+
+
 def _binary_handshake(sock):
     """Negotiate binary framing on a raw socket; returns the rw file."""
     fh = sock.makefile("rwb")
@@ -142,110 +173,116 @@ class TestBinaryFraming:
     the JSONL ``bad_json`` path — a well-framed bad payload costs one
     error reply, a broken frame stream costs only that connection."""
 
-    def test_truncated_length_prefix_closes_only_that_connection(self):
+    @pytest.fixture
+    def front(self):
         with start_server() as server:
-            with socket.create_connection(tuple(server.address), timeout=10) as sock:
-                fh = _binary_handshake(sock)
-                fh.write(_header(wire.KIND_JSON, 100)[:3])  # half a header
-                fh.flush()
-                sock.shutdown(socket.SHUT_WR)
-                assert fh.read() == b""  # silent close, no error spray
-            with ServiceClient(server.address) as client:
-                assert client.ping()
+            yield server
 
-    def test_oversized_declared_length_answers_bad_frame_then_closes(self):
-        with start_server() as server:
-            with socket.create_connection(tuple(server.address), timeout=10) as sock:
-                fh = _binary_handshake(sock)
-                fh.write(_header(wire.KIND_JSON, wire.FRAME_LIMIT + 1))
-                fh.flush()
-                kind, payload = wire.read_frame_blocking(fh)
-                reply = wire.decode_reply(kind, payload)
-                assert reply["ok"] is False and reply["code"] == "bad_frame"
-                assert fh.read() == b""  # server hung up after the reply
-            with ServiceClient(server.address) as client:
-                assert client.ping()
+    def test_truncated_length_prefix_closes_only_that_connection(self, front):
+        with socket.create_connection(tuple(front.address), timeout=10) as sock:
+            fh = _binary_handshake(sock)
+            fh.write(_header(wire.KIND_JSON, 100)[:3])  # half a header
+            fh.flush()
+            sock.shutdown(socket.SHUT_WR)
+            assert fh.read() == b""  # silent close, no error spray
+        with ServiceClient(front.address) as client:
+            assert client.ping()
 
-    def test_garbage_bytes_mid_stream_answer_bad_frame(self):
-        with start_server() as server:
-            with socket.create_connection(tuple(server.address), timeout=10) as sock:
-                fh = _binary_handshake(sock)
-                # A valid ping first, then garbage where a header belongs.
-                fh.write(wire.encode_json({"op": "ping"}))
-                fh.flush()
-                kind, payload = wire.read_frame_blocking(fh)
-                assert wire.decode_reply(kind, payload)["ok"] is True
-                fh.write(b"\xde\xad\xbe\xef\x00\x00\x00\x00")
-                fh.flush()
-                kind, payload = wire.read_frame_blocking(fh)
-                reply = wire.decode_reply(kind, payload)
-                assert reply["ok"] is False and reply["code"] == "bad_frame"
-            with ServiceClient(server.address) as client:
-                assert client.ping()
+    def test_oversized_declared_length_answers_bad_frame_then_closes(self, front):
+        with socket.create_connection(tuple(front.address), timeout=10) as sock:
+            fh = _binary_handshake(sock)
+            fh.write(_header(wire.KIND_JSON, wire.FRAME_LIMIT + 1))
+            fh.flush()
+            kind, payload = wire.read_frame_blocking(fh)
+            reply = wire.decode_reply(kind, payload)
+            assert reply["ok"] is False and reply["code"] == "bad_frame"
+            assert fh.read() == b""  # server hung up after the reply
+        with ServiceClient(front.address) as client:
+            assert client.ping()
 
-    def test_garbage_payload_in_valid_frame_survives_the_connection(self):
+    def test_garbage_bytes_mid_stream_answer_bad_frame(self, front):
+        with socket.create_connection(tuple(front.address), timeout=10) as sock:
+            fh = _binary_handshake(sock)
+            # A valid ping first, then garbage where a header belongs.
+            fh.write(wire.encode_json({"op": "ping"}))
+            fh.flush()
+            kind, payload = wire.read_frame_blocking(fh)
+            assert wire.decode_reply(kind, payload)["ok"] is True
+            fh.write(b"\xde\xad\xbe\xef\x00\x00\x00\x00")
+            fh.flush()
+            kind, payload = wire.read_frame_blocking(fh)
+            reply = wire.decode_reply(kind, payload)
+            assert reply["ok"] is False and reply["code"] == "bad_frame"
+        with ServiceClient(front.address) as client:
+            assert client.ping()
+
+    def test_garbage_payload_in_valid_frame_survives_the_connection(self, front):
         """A well-framed undecodable feed mirrors bad_json: one error
         reply, same connection keeps serving."""
-        with start_server() as server:
-            with socket.create_connection(tuple(server.address), timeout=10) as sock:
-                fh = _binary_handshake(sock)
-                junk = b"\x01\x02\x03"  # too short for any feed layout
-                fh.write(_header(wire.KIND_FEED, len(junk)) + junk)
-                fh.flush()
-                kind, payload = wire.read_frame_blocking(fh)
-                reply = wire.decode_reply(kind, payload)
-                assert reply["ok"] is False and reply["code"] == "bad_frame"
-                fh.write(wire.encode_json({"op": "ping"}))
-                fh.flush()
-                kind, payload = wire.read_frame_blocking(fh)
-                assert wire.decode_reply(kind, payload)["ok"] is True
+        with socket.create_connection(tuple(front.address), timeout=10) as sock:
+            fh = _binary_handshake(sock)
+            junk = b"\x01\x02\x03"  # too short for any feed layout
+            fh.write(_header(wire.KIND_FEED, len(junk)) + junk)
+            fh.flush()
+            kind, payload = wire.read_frame_blocking(fh)
+            reply = wire.decode_reply(kind, payload)
+            assert reply["ok"] is False and reply["code"] == "bad_frame"
+            fh.write(wire.encode_json({"op": "ping"}))
+            fh.flush()
+            kind, payload = wire.read_frame_blocking(fh)
+            assert wire.decode_reply(kind, payload)["ok"] is True
 
-    def test_mid_frame_disconnect_contained(self):
-        with start_server() as server:
-            with socket.create_connection(tuple(server.address), timeout=10) as sock:
-                fh = _binary_handshake(sock)
-                body = wire.encode_json({"op": "ping"})
-                fh.write(body[: len(body) - 2])  # frame promised more bytes
-                fh.flush()
-            # Connection dropped mid-frame; the listener shrugs.
-            with ServiceClient(server.address) as client:
-                assert client.ping()
+    def test_mid_frame_disconnect_contained(self, front):
+        with socket.create_connection(tuple(front.address), timeout=10) as sock:
+            fh = _binary_handshake(sock)
+            body = wire.encode_json({"op": "ping"})
+            fh.write(body[: len(body) - 2])  # frame promised more bytes
+            fh.flush()
+        # Connection dropped mid-frame; the listener shrugs.
+        with ServiceClient(front.address) as client:
+            assert client.ping()
 
-    def test_reconnect_renegotiates_binary_before_resuming(self):
+    def test_reconnect_renegotiates_binary_before_resuming(self, front):
         """RetryPolicy reconnects re-run the hello: the resumed feed is
         exactly-once AND still binary-framed."""
         values = _values(seed=21)
         offline = TopKMonitor(n=N, k=K, seed=9).run(values)
-        with start_server() as server:
-            with ServiceClient(server.address, wire="binary") as client:
-                assert client.negotiated_wire == "binary"
-                session = client.create_session(n=N, k=K, seed=9)
-                for t, row in enumerate(values):
-                    if t in (7, 23):  # sever mid-stream, twice
-                        client.drop_connection()
-                    session.feed(row)
-                assert client.negotiated_wire == "binary"  # renegotiated
-                final = session.query(wait=True)
+        with ServiceClient(front.address, wire="binary") as client:
+            assert client.negotiated_wire == "binary"
+            session = client.create_session(n=N, k=K, seed=9)
+            for t, row in enumerate(values):
+                if t in (7, 23):  # sever mid-stream, twice
+                    client.drop_connection()
+                session.feed(row)
+            assert client.negotiated_wire == "binary"  # renegotiated
+            final = session.query(wait=True)
         assert final["topk"] == sorted(offline.topk_history[-1].tolist())
         assert final["messages"] == offline.total_messages
         assert final["time"] == STEPS - 1
 
-    def test_unknown_wire_version_degrades_to_jsonl(self):
+    def test_unknown_wire_version_degrades_to_jsonl(self, front):
         """Asking for a version the server doesn't speak answers
         ``wire="jsonl"`` and the connection stays line-framed — the
         forward-compatibility half of the negotiation contract."""
-        with start_server() as server:
-            with socket.create_connection(tuple(server.address), timeout=10) as sock:
-                fh = sock.makefile("rwb")
-                hello = {"op": "hello", "wire": "binary", "version": 999}
-                fh.write((json.dumps(hello) + "\n").encode())
-                fh.flush()
-                reply = json.loads(fh.readline())
-                assert reply["ok"] is True and reply["wire"] == "jsonl"
-                # Connection stays JSONL-usable.
-                fh.write((json.dumps({"op": "ping"}) + "\n").encode())
-                fh.flush()
-                assert json.loads(fh.readline())["ok"] is True
+        with socket.create_connection(tuple(front.address), timeout=10) as sock:
+            fh = sock.makefile("rwb")
+            hello = {"op": "hello", "wire": "binary", "version": 999}
+            fh.write((json.dumps(hello) + "\n").encode())
+            fh.flush()
+            reply = json.loads(fh.readline())
+            assert reply["ok"] is True and reply["wire"] == "jsonl"
+            # Connection stays JSONL-usable.
+            fh.write((json.dumps({"op": "ping"}) + "\n").encode())
+            fh.flush()
+            assert json.loads(fh.readline())["ok"] is True
+
+
+class TestBinaryFramingOnFleet(TestBinaryFraming):
+    """The same hostile frames, sent to a fleet router instead of a server."""
+
+    @pytest.fixture
+    def front(self, fleet):
+        return fleet
 
 
 class TestConnectRetry:
