@@ -88,7 +88,7 @@ def render(poll: dict, *, address: str = "", now: Callable[[], float] = time.mon
             f"  rows replayed {_fmt_num(fleet.get('rows_replayed', 0))}"
         )
         lines.append(
-            "journal   "
+            "in flight "
             f"depth {_fmt_num(fleet.get('journal_rows', 0))} rows"
         )
         workers = fleet.get("per_worker", {})

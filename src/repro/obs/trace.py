@@ -5,9 +5,10 @@ by every span describing the same logical operation (one client push and
 every hop it takes — router, worker, failover replay), a unique ``span``
 id, an optional ``parent`` span id, a monotonic ``ts`` start stamp, a
 ``dur_us`` duration and free-form ``attrs``.  Trace ids ride the JSONL
-wire protocol as an optional ``"trace"`` field on ``feed`` requests and a
-``"traces"`` list on failover replays, which is what makes a replayed row
-attributable to the client push that originally carried it.
+wire protocol as an optional ``"trace"`` field on ``feed`` requests; a
+feed the fleet router resends after a failover keeps its push's id, which
+is what makes a replayed row attributable to the client push that
+originally carried it.
 
 Ids are ``<pid hex>-<counter hex>`` — unique within a process for its
 lifetime, collision-free across the fleet's worker processes via the pid

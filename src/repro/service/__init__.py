@@ -25,8 +25,9 @@ answers must be current):
   push-a-row / read-top-k / read-message-count / checkpoint.
 * :class:`~repro.service.fleet.FleetRouter` — the multi-process form
   (``repro.serve(workers=N)``): N worker processes behind one
-  consistent-hashing router with a hot standby, journal-backed failover,
-  and live migration — same wire protocol, bit-identical results.
+  consistent-hashing router with a hot standby, failover that restores a
+  dead worker's checkpoint directory and feed log, and live migration —
+  same wire protocol, bit-identical results.
 
 Quickstart (in one process; :func:`repro.serve` / :func:`repro.connect`
 are the api-level spellings):

@@ -482,8 +482,8 @@ class SessionHandle:
         base = self._acked
         remaining = rows
         # With observability on, every push carries a trace id end to end:
-        # the router journals it per row, so even rows replayed to a
-        # standby after a worker death stay attributable to this push.
+        # a fleet router resends it with any rows a worker death lost, so
+        # even rows replayed to a standby stay attributable to this push.
         trace = new_trace_id() if OBS.on else None
         while True:
             fields = {"session": self.id, "rows": remaining}

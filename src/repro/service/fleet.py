@@ -19,25 +19,24 @@ bit-identical to a single-process manager — the catalog differential in
 
 Durability and failover
 -----------------------
-Each worker checkpoints its sessions (on idle/op *and* on a timer,
-``checkpoint_interval``) into its own subdirectory.  The router keeps one
-pre-spawned **hot standby** worker (empty, no checkpoint dir) plus an
-in-memory per-session *row journal*: every fed row is journaled before it
-is forwarded, and trimmed only once a worker acknowledges a checkpoint
-that covers it.  When a worker dies (SIGKILL, crash, ``FaultPlan`` window)
-the monitor task promotes the standby: it replays the dead worker's
-checkpoint directory via the ``restore`` wire op, adopts its directory,
-and the router re-feeds every journaled row the checkpoint had not yet
-captured — exactly once, because the replay asks the worker how many rows
-it has (``time + 1 + pending``) and sends only the missing suffix.  In
-steady state a failover therefore loses *zero* rows and *zero* sessions
-without any client-side involvement.
+Each worker keeps its sessions in its own subdirectory and appends every
+feed to the feed log there before acking it (see
+:mod:`repro.service.manager`); the router fans a checkpoint out to every
+worker each ``checkpoint_interval`` to compact those logs.  A worker's ack
+therefore means its rows are on disk, and the router holds no copy of
+them.  It keeps one pre-spawned **hot standby** worker (empty, no
+checkpoint dir).  When a worker dies (SIGKILL, crash, ``FaultPlan``
+window) the monitor task promotes the standby: it restores the dead
+worker's checkpoint directory, log included, via the ``restore`` wire op
+and adopts the directory.  A failover therefore loses *zero* acknowledged
+rows and *zero* sessions without any client-side involvement.
 
 Connection loss to a worker is treated as worker death (the workers are
 local children; their sockets only break when the process does).  A feed
-whose reply was lost switches to *confirm* mode after the failover: its
-rows are already journaled, the replay owns redelivery, and the handler
-merely reads back the authoritative row count.
+whose reply was lost waits for the failover, asks the replacement how
+many rows the session holds (``time + 1 + pending``), and resends only
+the rows it lacks, as a ``replay`` carrying the push's trace id.  That is
+exactly once: the session's lock keeps the count from moving meanwhile.
 
 Rebalancing uses the same checkpoint codec live: ``export`` detaches a
 session (state + pending inbox) from one worker and ``import`` re-hosts
@@ -71,8 +70,6 @@ import tempfile
 import traceback
 from collections import deque
 from pathlib import Path
-
-import numpy as np
 
 from repro.errors import ConfigurationError, ReproError, ServiceError
 from repro.obs.registry import (
@@ -117,7 +114,7 @@ DEFAULT_RING_REPLICAS = 64
 #: it while every *group* (the stacked-sweep unit) stays whole.
 GROUP_SHARDS = 16
 
-#: Seconds between router-driven fan-out checkpoints (and journal trims).
+#: Seconds between router-driven fan-out checkpoints.
 DEFAULT_CHECKPOINT_INTERVAL = 0.5
 
 #: Router-side routing-table filename inside the fleet checkpoint root.
@@ -126,20 +123,21 @@ _ROUTES_FILE = "router.json"
 _ROUTES_SCHEMA = 1
 
 # Registry families (repro/obs): the fleet's health as named series — how
-# often failovers happen, how long they take, how much journal is exposed.
+# often failovers happen, how long they take, how many rows are in flight.
 _OBS_FAILOVERS = _obs_counter(
     "repro_fleet_failovers_total", "standby promotions after a worker death"
 )
 _OBS_FAILOVER_SECONDS = _obs_histogram(
     "repro_fleet_failover_seconds",
-    "wall time from death detection to a recovered slot (restore + replay)",
+    "wall time from death detection to a recovered slot (the restore)",
 )
 _OBS_ROWS_REPLAYED = _obs_counter(
-    "repro_fleet_rows_replayed_total", "journal rows re-fed during failovers"
+    "repro_fleet_rows_replayed_total",
+    "rows of feeds lost in flight that the router resent after a failover",
 )
-_OBS_JOURNAL_ROWS = _obs_gauge(
+_OBS_INFLIGHT_ROWS = _obs_gauge(
     "repro_fleet_journal_rows",
-    "rows journaled but not yet covered by an acknowledged checkpoint",
+    "rows in feeds the router is forwarding that no worker has acknowledged",
 )
 _OBS_WORKER_ROWS = _obs_counter(
     "repro_fleet_worker_rows_total",
@@ -240,40 +238,32 @@ class _WorkerLost(ServiceError):
 
 
 class _SessionRoute:
-    """Router-side state of one session: where it lives, what was fed.
+    """Router-side state of one session: where it lives, what it holds.
 
-    ``journal`` holds ``(seq, row, trace)`` triples — ``seq`` is the
-    absolute row index, ``trace`` the originating push's trace id (or
-    ``None`` with observability off) — for every row not yet covered by
-    an acknowledged worker checkpoint; ``acked`` is the highest
-    received-count a worker has
-    confirmed (rows below it are at least in the worker's inbox, rows
-    below the trim mark are durable).  ``lock`` serializes feeds so the
-    journal order matches the delivery order.
+    ``received`` is the worker's row count (``time + 1 + pending``) from
+    the last acknowledged feed.  ``lock`` serializes feeds, so a feed that
+    lost its reply can tell from it how many of its rows the worker holds.
     """
 
-    __slots__ = ("group", "slot", "journal", "next_seq", "acked", "lock")
+    __slots__ = ("group", "slot", "received", "lock")
 
-    def __init__(self, group: str, slot: str, *, next_seq: int = 0):
+    def __init__(self, group: str, slot: str, *, received: int = 0):
         self.group = group
         self.slot = slot
-        self.journal: deque[tuple[int, list, str | None]] = deque()
-        self.next_seq = next_seq
-        self.acked = next_seq
+        self.received = received
         self.lock = asyncio.Lock()
 
 
 class _WorkerProc:
     """One worker child process plus the router's connection to it.
 
-    The shared connection negotiates the binary framing of
-    :mod:`repro.service.wire` at spawn (``wire`` records the outcome);
-    throwaway ``fresh_request`` connections stay JSONL — they carry one
-    parked query each, where negotiation would cost more than it saves.
+    The shared connection speaks the binary framing of
+    :mod:`repro.service.wire`, negotiated at spawn; throwaway
+    ``fresh_request`` connections stay JSONL — they carry one parked
+    query each, where negotiation would cost more than it saves.
     """
 
-    def __init__(self, slot, proc, address, checkpoint_dir, reader, writer, log,
-                 wire_mode: str = "jsonl"):
+    def __init__(self, slot, proc, address, checkpoint_dir, reader, writer, log):
         self.slot = slot
         self.proc = proc
         self.address = address
@@ -284,7 +274,6 @@ class _WorkerProc:
         self.log = log  # bounded deque of the child's recent output lines
         self.retired = False  # intentional stop: monitor must not fail over
         self.drain_task: asyncio.Task | None = None
-        self.wire = wire_mode
 
     @property
     def pid(self) -> int:
@@ -299,23 +288,16 @@ class _WorkerProc:
         """
         async with self._lock:
             try:
-                if self.wire == "binary":
-                    self._writer.write(_wire.encode_request(payload))
-                    await self._writer.drain()
-                    kind, body = await _wire.read_frame(self._reader)
-                    return _wire.decode_reply(kind, body)
-                self._writer.write(encode_line(payload))
+                self._writer.write(_wire.encode_request(payload))
                 await self._writer.drain()
-                line = await self._reader.readline()
+                kind, body = await _wire.read_frame(self._reader)
+                return _wire.decode_reply(kind, body)
             except (_wire.FrameEOF, _wire.FrameError, _wire.FramePayloadError) as exc:
                 # The workers are local children: a broken or truncated
                 # frame on the shared link means the process died mid-write.
                 raise _WorkerLost(f"worker {self.slot} connection lost: {exc}") from exc
             except (ConnectionError, OSError) as exc:
                 raise _WorkerLost(f"worker {self.slot} connection lost: {exc}") from exc
-            if not line:
-                raise _WorkerLost(f"worker {self.slot} closed its connection")
-            return json.loads(line)  # reprolint: disable=R4 — JSONL fallback link
 
     async def fresh_request(self, payload: dict) -> dict:
         """One round trip on a throwaway connection.
@@ -385,8 +367,9 @@ class FleetRouter(Frontend):
         (failover still works; state just does not survive the router).
         A re-started router with the same root re-adopts the whole fleet.
     checkpoint_interval:
-        Seconds between worker timer checkpoints *and* router fan-out
-        checkpoints; bounds both SIGKILL staleness and journal memory.
+        Seconds between the checkpoints the router fans out to every
+        worker; each compacts the worker's feed log, which bounds the
+        rows a failover's restore replays.  ``None`` fans out none.
     standby:
         Keep one pre-spawned empty worker ready to adopt a dead worker's
         checkpoint directory (failover is one ``restore`` op away instead
@@ -456,6 +439,7 @@ class FleetRouter(Frontend):
         self._failovers = 0
         self._failover_latencies: list[float] = []
         self._rows_replayed = 0
+        self._inflight_rows = 0
         self._stopping = False
         self._monitors: list[asyncio.Task] = []
         self._timer_task: asyncio.Task | None = None
@@ -544,9 +528,9 @@ class FleetRouter(Frontend):
         if self.batch_linger:
             argv += ["--batch-linger", str(self.batch_linger)]
         if checkpoint_dir is not None:
+            # No --checkpoint-interval: the router's fan-out is the fleet's
+            # one timer, and the only one that covers a promoted standby.
             argv += ["--checkpoint-dir", str(checkpoint_dir)]
-            if self.checkpoint_interval is not None:
-                argv += ["--checkpoint-interval", str(self.checkpoint_interval)]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         if OBS.on:
             # Programmatic ``obs.enable()`` in the router must reach the
@@ -574,19 +558,15 @@ class FleetRouter(Frontend):
                     host, _, port = text.removeprefix("listening on ").rpartition(":")
                     address = (host, int(port))
             reader, writer = await asyncio.open_connection(*address, limit=LINE_LIMIT)
-            # The router-worker link is internal, so it always asks for the
-            # binary framing; any non-acceptance degrades to JSONL and a
-            # genuinely dead child surfaces as _WorkerLost on first use.
-            try:
-                wire_mode = await _wire.negotiate(reader, writer)
-            except (ReproError, ConnectionError, OSError):
-                wire_mode = "jsonl"
+            # The router-worker link is internal and every worker runs this
+            # code, so it is binary-only: a refusal means a broken worker.
+            if await _wire.negotiate(reader, writer) != "binary":
+                raise ServiceError(f"fleet worker {slot} refused the binary wire")
         except BaseException:
             with contextlib.suppress(ProcessLookupError):
                 proc.kill()
             raise
-        worker = _WorkerProc(slot, proc, address, checkpoint_dir, reader, writer, log,
-                             wire_mode=wire_mode)
+        worker = _WorkerProc(slot, proc, address, checkpoint_dir, reader, writer, log)
         worker.drain_task = asyncio.create_task(_drain_stdout(proc, log))
         return worker
 
@@ -631,7 +611,7 @@ class FleetRouter(Frontend):
             self.request_stop()
 
     async def _failover(self, slot: str, dead: _WorkerProc) -> None:
-        """Promote the standby into a dead worker's slot and replay."""
+        """Promote the standby into a dead worker's slot."""
         if self._workers.get(slot) is not dead:
             return  # already replaced (e.g. a stale monitor)
         t0 = _obs_clock()
@@ -655,23 +635,19 @@ class FleetRouter(Frontend):
             self._monitors.append(
                 asyncio.create_task(self._monitor_worker(slot, replacement))
             )
-            replayed = await self._replay_journals(slot, replacement)
             elapsed = _obs_clock() - t0
             self._failovers += 1
             self._failover_latencies.append(elapsed)
-            self._rows_replayed += replayed
             if OBS.on:
                 _OBS_FAILOVERS.inc()
                 _OBS_FAILOVER_SECONDS.observe(elapsed)
-                _OBS_ROWS_REPLAYED.inc(replayed)
                 _obs_recorder.record(
                     "fleet.failover", slot=slot, ts=t0, dur_us=elapsed * 1e6,
-                    pid=replacement.pid, rows_replayed=replayed,
+                    pid=replacement.pid,
                 )
             print(
                 f"fleet: {slot} recovered on pid {replacement.pid} in "
-                f"{elapsed * 1e3:.1f} ms ({int(reply['sessions'])} sessions restored, "
-                f"{replayed} rows replayed)",
+                f"{elapsed * 1e3:.1f} ms ({int(reply['sessions'])} sessions restored)",
                 file=sys.stderr, flush=True,
             )
         finally:
@@ -679,68 +655,6 @@ class FleetRouter(Frontend):
             self._slot_changed(slot)
         if self.keep_standby and not self._stopping:
             self._standby_task = asyncio.create_task(self._spawn_standby())
-
-    async def _replay_journals(self, slot: str, worker: _WorkerProc) -> int:
-        """Re-feed every journaled row the worker's checkpoint missed.
-
-        Exactly-once: the worker reports how many rows it has
-        (``time + 1 + pending``) and only the journal suffix past that is
-        re-sent.  Runs with no per-session locks — concurrent feeds for
-        this slot journal synchronously and then block on the failover
-        event, so the journal is complete and cannot advance under us.
-        """
-        replayed = 0
-        for session_id, route in list(self._sessions.items()):
-            if route.slot != slot:
-                continue
-            reply = await worker.request({"op": "query", "session": session_id})
-            if not reply.get("ok"):
-                # create/close checkpoint *before* acking, so a routed
-                # session is always in the checkpoint; reaching this means
-                # the directory was tampered with or lost.
-                print(f"fleet: session {session_id} missing after failover: "
-                      f"{reply.get('error')}", file=sys.stderr, flush=True)
-                continue
-            received = _received(reply)
-            # Record what the restored worker already holds: feed handlers
-            # use ``acked`` to detect that the replay (or the dead worker's
-            # checkpoint) covered their rows, so they must not resend.
-            route.acked = max(route.acked, received)
-            missing = [(row, trace) for seq, row, trace in route.journal
-                       if seq >= received]
-            if OBS.on and missing:
-                _obs_recorder.record(
-                    "router.replay", session=session_id, slot=slot,
-                    rows=len(missing),
-                    traces=[t for t in dict.fromkeys(t for _, t in missing)
-                            if t is not None],
-                )
-            while missing:
-                chunk = missing[: self.inbox_limit]
-                message = {"op": "feed", "session": session_id,
-                           "rows": [row for row, _ in chunk], "replay": True}
-                traces = [t for t in dict.fromkeys(t for _, t in chunk)
-                          if t is not None]
-                if traces:
-                    # The replayed rows keep their original client trace
-                    # ids: the worker records one ``server.feed`` span per
-                    # trace, which is what makes a post-failover row
-                    # attributable to the push that first carried it.
-                    message["traces"] = traces
-                reply = await worker.request(message)
-                if reply.get("ok"):
-                    route.acked = max(route.acked, _received(reply))
-                    replayed += len(chunk)
-                    missing = missing[len(chunk):]
-                elif reply.get("code") == "backpressure":
-                    await worker.fresh_request(
-                        {"op": "query", "session": session_id, "wait": True}
-                    )
-                else:
-                    raise ServiceError(
-                        f"journal replay for {session_id} failed: {reply.get('error')}"
-                    )
-        return replayed
 
     # ------------------------------------------------------- slot waiting
 
@@ -821,7 +735,7 @@ class FleetRouter(Frontend):
                 group = saved_groups.get(session_id) or batch_group(
                     view["n"], view["k"], session_id
                 )
-                route = _SessionRoute(group, slot, next_seq=_received(view))
+                route = _SessionRoute(group, slot, received=_received(view))
                 found.append((session_id, slot, route))
         # Stable adoption order: numeric for router-assigned ids, then name.
         def _order(item):
@@ -849,44 +763,20 @@ class FleetRouter(Frontend):
                 traceback.print_exc()
 
     async def _checkpoint_fleet(self) -> int:
-        """Fan a checkpoint out to every worker; trim covered journals.
-
-        The trim mark for each session is its ``acked`` count *captured
-        before the checkpoint op is sent*: every row the worker had
-        acknowledged by then is in its inbox or state, so a checkpoint
-        acknowledged afterwards has persisted it.
-        """
-        self._persist_routes()
+        """Fan a checkpoint out to every live worker; returns sessions saved."""
         total = 0
         for slot in list(self._workers):
             if slot in self._failing:
                 continue
-            worker = self._workers[slot]
-            marks = {
-                sid: route.acked
-                for sid, route in self._sessions.items()
-                if route.slot == slot
-            }
             try:
-                reply = await worker.request({"op": "checkpoint"})
+                reply = await self._workers[slot].request({"op": "checkpoint"})
             except _WorkerLost:
                 continue  # mid-death; the monitor is (about to be) on it
-            if not reply.get("ok"):
-                continue
-            total += int(reply["sessions"])
-            for sid, mark in marks.items():
-                route = self._sessions.get(sid)
-                if route is None:
-                    continue
-                while route.journal and route.journal[0][0] < mark:
-                    route.journal.popleft()
+            if reply.get("ok"):
+                total += int(reply["sessions"])
         if OBS.on:
-            _OBS_JOURNAL_ROWS.set(self._journal_rows())
+            _OBS_INFLIGHT_ROWS.set(self._inflight_rows)
         return total
-
-    def _journal_rows(self) -> int:
-        """Rows journaled fleet-wide (the durability exposure right now)."""
-        return sum(len(route.journal) for route in self._sessions.values())
 
     # ----------------------------------------------------- fault schedule
 
@@ -970,79 +860,86 @@ class FleetRouter(Frontend):
         route = self._route(session_id)
         if "row" in request:
             rows = [request["row"]]
+            message = {"op": "feed", "session": session_id, "row": request["row"]}
         else:
+            # ``rows`` may be a decoded binary block (a 2-D numpy array),
+            # forwarded as it is, so emptiness is len-based.
             rows = request.get("rows")
-            if isinstance(rows, np.ndarray):
-                # A decoded binary block: the journal holds plain lists, so
-                # exactly-once replay and trace continuity across failover
-                # stay framing-agnostic.
-                rows = rows.tolist()
-            if not rows:
+            if rows is None or len(rows) == 0:
                 raise ServiceError("feed needs a 'row' or a non-empty 'rows' list")
-            rows = list(rows)
+            message = {"op": "feed", "session": session_id, "rows": rows}
         trace = request.get("trace")
         if OBS.on and trace is None:
             # Client pushed without a trace id (its obs is off): mint one
-            # at the router so the hop is still traceable through replay.
+            # at the router so the hop is still traceable through a resend.
             trace = new_trace_id()
+        if trace is not None:
+            message["trace"] = trace
         async with route.lock:
             if self._sessions.get(session_id) is not route:
                 raise ServiceError(f"unknown session {session_id!r}")
-            # Journal before forwarding — synchronously, so a failover
-            # replay triggered at any later await sees these rows.
-            start_seq = route.next_seq
-            route.journal.extend(
-                (start_seq + i, row, trace) for i, row in enumerate(rows)
-            )
-            route.next_seq += len(rows)
-            message = ({"op": "feed", "session": session_id, "row": rows[0]}
-                       if len(rows) == 1
-                       else {"op": "feed", "session": session_id, "rows": rows})
-            if trace is not None:
-                message["trace"] = trace
             if OBS.on:
                 _obs_recorder.record("router.feed", trace=trace,
                                      session=session_id, slot=route.slot,
                                      rows=len(rows))
-            confirm = False
-            while True:
-                slot = route.slot
-                await self._slot_ready(slot)
-                worker = self._workers[slot]
-                if route.acked >= route.next_seq:
-                    # A failover replay ran between our journal append and
-                    # this send and already delivered our rows (``acked``
-                    # covers the journal tail, which is ours under the
-                    # session lock) — resending would double-feed.
-                    confirm = True
-                try:
-                    if confirm:
-                        reply = await worker.request(
-                            {"op": "query", "session": session_id}
+            self._inflight_rows += len(rows)
+            try:
+                reply = await self._forward_feed(session_id, route, rows, message)
+            finally:
+                self._inflight_rows -= len(rows)
+            if OBS.on:
+                _OBS_WORKER_ROWS.labels(slot=route.slot).inc(len(rows))
+            return {"pending": int(reply["pending"]), "time": int(reply["time"])}
+
+    async def _forward_feed(self, session_id: str, route: _SessionRoute, rows,
+                            message: dict) -> dict:
+        """Deliver one feed exactly once (caller holds the session lock).
+
+        A worker logs each feed before acking it, so a replacement that
+        restored a dead worker's directory holds every acknowledged row.
+        When a worker death swallows the reply, the rows the replacement
+        holds past ``route.received`` can therefore only be this feed's:
+        it resends the rest, as a replay.  Returns the acknowledging reply
+        (or, when nothing was left to resend, the replacement's view).
+        """
+        lost = False
+        while True:
+            slot = route.slot
+            await self._slot_ready(slot)
+            worker = self._workers[slot]
+            try:
+                if lost:
+                    view = await worker.request({"op": "query", "session": session_id})
+                    if not view.get("ok"):
+                        raise Forwarded(view)
+                    held = _received(view) - route.received
+                    if held < 0:
+                        raise ServiceError(
+                            f"session {session_id!r}: the worker restored in "
+                            f"{slot} holds {-held} fewer rows than were "
+                            "acknowledged; cannot resume this feed"
                         )
-                    else:
-                        reply = await worker.request(message)
-                except _WorkerLost:
-                    await self._wait_replaced(slot, worker)
-                    # The rows are journaled and the failover replay owns
-                    # redelivery; from here just read back the count.
-                    confirm = True
-                    continue
-                if reply.get("ok"):
-                    route.acked = max(route.acked, _received(reply))
-                    if OBS.on:
-                        _OBS_WORKER_ROWS.labels(slot=slot).inc(len(rows))
-                    return {"pending": int(reply["pending"]),
-                            "time": int(reply["time"])}
-                if not confirm:
-                    # Refused (backpressure / validation): nothing was
-                    # applied, so the journal rolls back in place.  No
-                    # await separates the reply from this rollback, so a
-                    # replay cannot observe the half-state.
-                    for _ in rows:
-                        route.journal.pop()
-                    route.next_seq = start_seq
+                    route.received += held
+                    if held >= len(rows):
+                        return view  # the dead worker logged it; only the reply was lost
+                    rows = rows[held:]
+                    message = {**message, "replay": True}
+                    if held:
+                        message["rows"] = rows
+                    lost = False
+                reply = await worker.request(message)
+            except _WorkerLost:
+                await self._wait_replaced(slot, worker)
+                lost = True
+                continue
+            if not reply.get("ok"):
                 raise Forwarded(reply)
+            route.received = _received(reply)
+            if message.get("replay"):
+                self._rows_replayed += len(rows)
+                if OBS.on:
+                    _OBS_ROWS_REPLAYED.inc(len(rows))
+            return reply
 
     async def _op_query(self, request: dict) -> dict:
         session_id = session_field(request)
@@ -1141,11 +1038,13 @@ class FleetRouter(Frontend):
                 "max": round(max(latencies) * 1e3, 1) if latencies else 0.0,
             },
             "rows_replayed": self._rows_replayed,
-            "journal_rows": self._journal_rows(),
+            # Rows of feeds no worker has acknowledged yet: all the router
+            # holds.  The field keeps its name for the metrics' readers.
+            "journal_rows": self._inflight_rows,
             "per_worker": per_worker,
         }
         if OBS.on:
-            _OBS_JOURNAL_ROWS.set(aggregate["fleet"]["journal_rows"])
+            _OBS_INFLIGHT_ROWS.set(self._inflight_rows)
         return {"metrics": aggregate}
 
     async def _op_obs(self, request: dict) -> dict:

@@ -91,8 +91,8 @@ class ServiceServer(Frontend):
         #: Seconds between timer checkpoints (None disables the timer).
         #: Acked feeds are in the feed log either way; each checkpoint
         #: compacts it, so the timer bounds the log's length and a
-        #: restart's replay — and the fleet router trims its failover
-        #: journal only at the checkpoints it fans out on the same period.
+        #: restart's replay.  A fleet worker runs no timer: the router
+        #: fans its checkpoints out instead.
         if checkpoint_interval is not None and checkpoint_interval <= 0:
             raise ConfigurationError(
                 f"checkpoint_interval must be > 0 seconds, got {checkpoint_interval}"
@@ -232,16 +232,10 @@ class ServiceServer(Frontend):
             rows_fed = len(rows)
             pending = self.manager.feed_many(session_id, rows)
         if OBS.on:
-            # One span per originating trace id: a normal push carries one
-            # "trace", a failover replay chunk may merge rows from several
-            # pushes and carries their ids as "traces" — recording each id
-            # is what makes a replayed row attributable to its push.
-            traces = request.get("traces") or [request.get("trace")]
-            for trace in traces:
-                RECORDER.record(
-                    "server.feed", trace=trace, session=session_id,
-                    rows=rows_fed, replay=bool(request.get("replay")),
-                )
+            RECORDER.record(
+                "server.feed", trace=request.get("trace"), session=session_id,
+                rows=rows_fed, replay=bool(request.get("replay")),
+            )
         self._work.set()
         return {"pending": pending, "time": self.manager.time(session_id)}
 

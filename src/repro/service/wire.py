@@ -18,9 +18,9 @@ Kinds:
 ``KIND_JSON`` (1)
     UTF-8 JSON object — the same request/reply shape as one JSONL line,
     minus the trailing newline.  Every non-feed op (and any feed the
-    packed layout cannot express, e.g. a failover replay carrying a
-    ``traces`` list) travels this way, so the binary mode is a strict
-    superset of the JSONL protocol.
+    packed layout cannot express, e.g. ragged rows or an unknown field)
+    travels this way, so the binary mode is a strict superset of the
+    JSONL protocol.
 
 ``KIND_FEED`` (2)
     A packed feed request.  Little-endian layout::
@@ -129,8 +129,8 @@ _U16 = struct.Struct("<H")
 _U32X2 = struct.Struct("<II")
 _ACK = struct.Struct("<qq")
 
-#: Feed-request fields the packed layout can express; anything else
-#: (e.g. a replay's ``traces`` list) falls back to ``KIND_JSON``.
+#: Feed-request fields the packed layout can express; a feed carrying
+#: any other field falls back to ``KIND_JSON``.
 _PACKED_FEED_KEYS = frozenset({"op", "session", "row", "rows", "trace", "replay"})
 
 

@@ -9,14 +9,19 @@ Two load-bearing claims, tested end-to-end:
    keeps each stacked-sweep group dense on one worker.
 2. **Kill-anything durability**: SIGKILLing a worker mid-stream loses
    zero sessions and zero rows; the standby restores its checkpoint
-   directory, the router replays the journaled suffix exactly once, and
-   the stream resumes bit-identically.
+   directory and feed log, the router resends a feed lost in flight
+   exactly once, and the stream resumes bit-identically.
 
 Plus hypothesis property tests for the consistent-hash ring the routing
 rests on.
 """
 
 from __future__ import annotations
+
+import os
+import signal
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait as futures_wait
 
 import numpy as np
 import pytest
@@ -246,6 +251,27 @@ class TestFleetDifferential:
 # --------------------------------------------------------------- failover
 
 
+def _pids(fleet) -> dict:
+    """``{slot: pid}`` of the fleet's live workers."""
+    return {w["slot"]: w["pid"] for w in fleet.workers()["workers"]}
+
+
+def _lose_in_flight(fleet, session_id: str, feed) -> None:
+    """Run ``feed`` so that the worker hosting ``session_id`` dies under it.
+
+    The worker is stopped first, so the feed reaches it and stalls; the
+    kill then swallows its reply.  Re-raises whatever ``feed`` raised.
+    """
+    pids = _pids(fleet)
+    pid = pids[HashRing(pids).lookup(batch_group(N, K, session_id))]
+    os.kill(pid, signal.SIGSTOP)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        feeding = pool.submit(feed)
+        futures_wait([feeding], timeout=1.0)
+        os.kill(pid, signal.SIGKILL)
+        feeding.result(timeout=120)
+
+
 class TestFleetFailover:
     """Satellite: SIGKILL a worker — zero loss, exact resume via standby."""
 
@@ -300,6 +326,69 @@ class TestFleetFailover:
                 w["slot"] for w in topology["workers"]
             }
             client.close()
+
+    def test_router_holds_no_acknowledged_rows(self):
+        """A worker logs each feed before acking it, so once the feeds are
+        acknowledged the router holds none of their rows."""
+        rows = np.arange(30 * N, dtype=np.int64).reshape(30, N) % 11
+        with start_fleet(workers=2, checkpoint_interval=60) as fleet:
+            with ServiceClient(fleet.address) as client:
+                for i in range(4):
+                    client.create_session(n=N, k=K, seed=800 + i).feed_rows(rows)
+                assert client.metrics()["fleet"]["journal_rows"] == 0
+
+    def test_feed_lost_in_flight_is_resent_once(self):
+        """A feed whose worker dies under it is resent to the replacement
+        exactly once, and every trajectory stays bit-identical."""
+        rng = np.random.default_rng(37)
+        with start_fleet(workers=2, checkpoint_interval=60) as fleet:
+            with ServiceClient(fleet.address, timeout=120) as client:
+                local = SessionManager()
+                handles = {}
+                for i in range(4):
+                    handle = client.create_session(n=N, k=K, seed=900 + i)
+                    local.create(N, K, seed=900 + i, session_id=handle.id)
+                    handles[handle.id] = handle
+                for sid, handle in handles.items():
+                    rows = rng.integers(0, 100, size=(10, N))
+                    handle.feed_rows(rows)
+                    local.feed_many(sid, rows)
+
+                target = next(iter(handles))
+                lost = rng.integers(0, 100, size=(7, N))
+                _lose_in_flight(fleet, target, lambda: handles[target].feed_rows(lost))
+                local.feed_many(target, lost)
+
+                for sid, handle in handles.items():
+                    rows = rng.integers(0, 100, size=(10, N))
+                    handle.feed_rows(rows)
+                    local.feed_many(sid, rows)
+                local.drain()
+                for sid, handle in handles.items():
+                    remote = handle.query(wait=True)
+                    view = local.query(sid)
+                    assert remote["time"] == view.time, sid
+                    assert remote["topk"] == list(view.topk), sid
+                    assert remote["messages"] == view.message_count, sid
+                fleet_metrics = client.metrics()["fleet"]
+                assert fleet_metrics["failovers"] == 1
+                assert fleet_metrics["rows_replayed"] == 7
+
+    def test_restore_short_of_acked_rows_fails_loudly(self, tmp_path):
+        """A replacement missing rows its predecessor acknowledged cannot
+        resume a lost feed: the client gets an error naming the session
+        instead of rows resent at the wrong index."""
+        root = tmp_path / "fleet"
+        rows = np.arange(10 * N, dtype=np.int64).reshape(10, N) % 13
+        with start_fleet(workers=2, checkpoint_dir=str(root),
+                         checkpoint_interval=60) as fleet:
+            with ServiceClient(fleet.address, timeout=120) as client:
+                handle = client.create_session(n=N, k=K, seed=950)
+                handle.feed_rows(rows)
+                slot = HashRing(_pids(fleet)).lookup(batch_group(N, K, handle.id))
+                (root / slot / "feeds.log").unlink()
+                with pytest.raises(ServiceError, match=handle.id):
+                    _lose_in_flight(fleet, handle.id, lambda: handle.feed_rows(rows[:7]))
 
     def test_live_rebalance_is_bit_identical(self):
         """add_worker / remove_worker migrate sessions via the checkpoint

@@ -5,17 +5,20 @@ Two load-bearing invariants:
 * **Zero overhead when off** — with ``OBS.on`` false (the default), no
   span is recorded and no registry series moves; the perf half of the
   guarantee lives in ``benchmarks/bench_service.py``.
-* **Trace continuity across failover** — a row replayed from the fleet
-  journal carries the trace id of the client push that originally
-  delivered it (the acceptance test at the bottom).
+* **Trace continuity across failover** — a row the fleet router resends
+  after a worker death carries the trace id of the client push that
+  originally delivered it (the acceptance test at the bottom).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait as futures_wait
 
 import numpy as np
 import pytest
@@ -465,10 +468,21 @@ class TestFleetTraceContinuity:
                 sessions = [client.create_session(8, 3, seed=s) for s in range(4)]
                 for sess in sessions:
                     sess.feed_rows([[i] * 8 for i in range(20)])
-                handle.kill_worker(0)
-                for sess in sessions:
-                    sess.feed_rows([[i] * 8 for i in range(20, 30)])
-                    sess.query(wait=True)
+
+                def _feed_rest():
+                    for sess in sessions:
+                        sess.feed_rows([[i] * 8 for i in range(20, 30)])
+                        sess.query(wait=True)
+
+                # Lose a feed in flight: stop worker 0, let the feeds run
+                # into it until one stalls, then kill it under that feed.
+                victim = handle.workers()["workers"][0]["pid"]
+                os.kill(victim, signal.SIGSTOP)
+                with ThreadPoolExecutor(max_workers=1) as pool:
+                    feeding = pool.submit(_feed_rest)
+                    futures_wait([feeding], timeout=1.0)
+                    os.kill(victim, signal.SIGKILL)
+                    feeding.result(timeout=120)
                 metrics = client.metrics()
                 assert metrics["fleet"]["failovers"] == 1
                 assert metrics["fleet"]["failover_latency_ms"]["count"] == 1

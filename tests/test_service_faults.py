@@ -371,9 +371,10 @@ class TestFeedResume:
 
         A ``CrashWindow`` SIGKILLs one worker on a wall-clock schedule
         while clients keep feeding through a RetryPolicy.  The standby
-        promotion plus the router's journal replay must make the crash
-        invisible: zero session loss, every trajectory bit-identical to a
-        local SessionManager — i.e. each row applied exactly once.
+        promotion plus the router's resend of any feed lost in flight
+        must make the crash invisible: zero session loss, every
+        trajectory bit-identical to a local SessionManager — i.e. each
+        row applied exactly once.
         """
         from repro.faults import CrashWindow, FaultPlan
         from repro.service import start_fleet

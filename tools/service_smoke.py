@@ -31,8 +31,9 @@ bit-identical to an uninterrupted offline run.
 ``--workers N`` (the CI fleet-smoke job) runs the multi-process fleet
 variant instead: a ``--serve --workers N`` router subprocess shards the
 sessions across N workers, and with ``--kill-worker`` the busiest worker
-is SIGKILLed (by pid, from outside) mid-stream — the hot standby must
-promote, the router must replay its journal, and the run asserts zero
+is SIGKILLed (by pid, from outside) mid-stream, under a feed it has not
+answered — the hot standby must restore its checkpoint directory, the
+router must resend that feed exactly once, and the run asserts zero
 session loss plus bit-identical final answers and exactly one recorded
 failover.
 
@@ -61,11 +62,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait as futures_wait
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -517,15 +521,28 @@ def fleet_phase(
                 raise SystemExit("sharding failed: sessions did not spread across workers")
             kill_at = rows // 2 if kill_worker else None
             kills = 0
-            for t in range(rows):
-                if t == kill_at:
-                    victim = max(topology["workers"], key=lambda w: w["sessions"])
-                    os.kill(victim["pid"], 9)
-                    kills += 1
-                    print(f"worker {victim['slot']} (pid {victim['pid']}, "
-                          f"{victim['sessions']} sessions) killed (SIGKILL)")
+
+            def feed_step(t):
                 for handle, _, values in cases:
                     handle.feed(values[t])
+
+            for t in range(rows):
+                if t != kill_at:
+                    feed_step(t)
+                    continue
+                # Stop the victim, let this step's feeds run into it until
+                # one stalls, then kill it under that feed: a feed lost in
+                # flight, which the router must resend exactly once.
+                victim = max(topology["workers"], key=lambda w: w["sessions"])
+                os.kill(victim["pid"], signal.SIGSTOP)
+                with ThreadPoolExecutor(max_workers=1) as pool:
+                    step = pool.submit(feed_step, t)
+                    futures_wait([step], timeout=1.0)
+                    os.kill(victim["pid"], signal.SIGKILL)
+                    step.result(timeout=120)
+                kills += 1
+                print(f"worker {victim['slot']} (pid {victim['pid']}, "
+                      f"{victim['sessions']} sessions) killed (SIGKILL)")
             survivors = set(client.session_ids())
             if survivors != created:
                 raise SystemExit(
