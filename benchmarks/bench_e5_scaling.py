@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from benchmarks.conftest import run_experiment_benchmark
-from repro.engine.vectorized import run_vectorized
 from repro.streams import random_walk
 
 
@@ -20,7 +20,7 @@ def test_vectorized_engine_throughput(benchmark, n, steps):
     values = random_walk(n, steps, seed=5, step_size=4, spread=50).generate()
 
     def run():
-        return run_vectorized(values, 8, seed=6).total_messages
+        return repro.run(repro.RunSpec(values, k=8, seed=6), engine="vectorized").total_messages
 
     msgs = benchmark(run)
     assert msgs > 0

@@ -1,7 +1,7 @@
 """Bench the streaming session service: throughput, latency, batching.
 
-The headline numbers (recorded into ``BENCH_engines.json`` via
-``benchmarks/record.py --select service --merge``):
+The headline numbers (timings are not committed; performance claims
+cite the perfbench runs recorded in ``CHANGES.md``):
 
 * ``drain_1000_sessions_batched`` / ``..._per_session`` — wall time to
   stream ``ROWS`` rows into each of 1000 concurrent sessions and drain

@@ -64,7 +64,6 @@ from repro.core.protocols import (
 )
 from repro.core.checkpoint import restore_session, save_session
 from repro.core.selection import select_top_k
-from repro.engine.fast import FastResult, run_fast
 from repro.engine.registry import EngineInfo, get_engine, list_engines, register_engine
 from repro.engine.results import RunResult
 from repro.errors import (
@@ -77,7 +76,7 @@ from repro.errors import (
     WorkloadError,
 )
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "run",
@@ -102,8 +101,6 @@ __all__ = [
     "maximum_protocol",
     "minimum_protocol",
     "select_top_k",
-    "run_fast",
-    "FastResult",
     "save_session",
     "restore_session",
     "ReproError",

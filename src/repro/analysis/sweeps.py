@@ -47,7 +47,6 @@ import numpy as np
 from repro.analysis.backends import get_backend
 from repro.analysis.stats import SummaryStats, summarize
 from repro.errors import ConfigurationError
-from repro.util.deprecation import warn_deprecated
 from repro.util.optionstate import OptionState
 from repro.util.seeding import SeedStream
 
@@ -220,7 +219,6 @@ def run_sweep(
     confidence: float = 0.95,
     workers: int | None = None,
     backend: str | None = None,
-    executor: str | None = None,
     checkpoint: str | Path | None = None,
     resume: bool | None = None,
 ) -> SweepResult:
@@ -255,8 +253,7 @@ def run_sweep(
         by remotely attached workers).
     backend:
         Execution backend name (see :func:`repro.analysis.backends.list_backends`;
-        default ``thread``).  ``executor`` is the deprecated alias kept for
-        pre-1.3 callers.
+        default ``thread``).
     checkpoint:
         Path of a :class:`~repro.experiments.persist.SweepJournal`.  Every
         completed job is journaled as results stream in; pass the same path
@@ -278,9 +275,8 @@ def run_sweep(
     ------
     ConfigurationError
         For invalid repetitions/workers, an unknown backend, a reserved
-        ``rng_seed`` grid key, conflicting ``backend``/``executor``, an
-        un-``resume``-d existing checkpoint, or a checkpoint written by a
-        different sweep.
+        ``rng_seed`` grid key, an un-``resume``-d existing checkpoint, or a
+        checkpoint written by a different sweep.
 
     Example
     -------
@@ -291,14 +287,8 @@ def run_sweep(
     """
     if repetitions < 1:
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
-    if backend is not None and executor is not None and backend != executor:
-        raise ConfigurationError(
-            f"conflicting backend={backend!r} and (deprecated alias) executor={executor!r}"
-        )
-    if executor is not None:
-        warn_deprecated("run_sweep(executor=...)", "run_sweep(backend=...)")
     defaults = _DEFAULTS.current()
-    backend_name = backend or executor or defaults.backend or "thread"
+    backend_name = backend or defaults.backend or "thread"
     if workers is None:
         workers = defaults.workers if defaults.workers is not None else 1
     if workers < 1 and not (workers == 0 and backend_name == "queue"):

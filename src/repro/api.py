@@ -16,10 +16,6 @@ matrix), the monitoring parameters ``k``/``seed``, the engine choice, and
 the config knobs.  :func:`run` resolves the workload, dispatches through
 the engine registry (:mod:`repro.engine.registry`) and always returns a
 :class:`~repro.engine.results.RunResult`, whatever the engine.
-
-(The pre-1.2 entry points ``run_fast``/``run_vectorized`` survive only as
-once-warning deprecation shims in :mod:`repro.engine`; new code should
-never call them.)
 """
 
 from __future__ import annotations

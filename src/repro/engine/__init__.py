@@ -9,11 +9,12 @@ benchmarks without changes anywhere else.  Built-ins:
   :class:`~repro.core.monitor.TopKMonitor`) — transports, ledger, events;
   audit and every ablation.
 * ``vectorized`` (:mod:`repro.engine.vectorized`) — the monitor re-derived
-  in pure array operations with counter-only accounting.
-* ``fast`` (:mod:`repro.engine.fast`) — event-driven segment skipping:
-  whole-array reductions locate the next violating step, quiet segments are
-  filled by slice assignment; typically ≥10× faster again on the
-  quiet-heavy workloads the algorithm targets.
+  in pure array operations with counter-only accounting, stepped row by
+  row through :class:`~repro.engine.vectorized.IncrementalKernel`.
+* ``fast`` (same module) — the same kernel's ``observe_many`` over the
+  whole matrix: block reductions locate the next violating step, quiet
+  segments are filled by slice assignment; typically ≥10× faster again on
+  the quiet-heavy workloads the algorithm targets.
 
 All engines return the unified :class:`~repro.engine.results.RunResult`
 and follow the randomness convention documented in
@@ -21,9 +22,6 @@ and follow the randomness convention documented in
 top-k trajectory, reset times, per-phase message counts — must be
 bit-identical (invariant I4).  :mod:`repro.engine.compare` enforces this
 three ways through the unified run path.
-
-``run_vectorized`` and ``run_fast`` remain as deprecated shims around the
-registry engines.
 
 The package namespace is lazy: the layer-zero kernel
 (:mod:`repro.engine.kernel`) is importable from :mod:`repro.core` without
@@ -34,7 +32,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover — static names for type checkers
     from repro.engine.compare import DifferentialReport, differential_check
-    from repro.engine.fast import FastResult, run_fast
     from repro.engine.registry import (
         ENGINES,
         EngineInfo,
@@ -43,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover — static names for type checkers
         register_engine,
     )
     from repro.engine.results import RunResult
-    from repro.engine.vectorized import VectorizedResult, run_vectorized
+    from repro.engine.vectorized import VectorizedResult
 
 _EXPORTS = {
     "EngineInfo": "repro.engine.registry",
@@ -53,9 +50,6 @@ _EXPORTS = {
     "list_engines": "repro.engine.registry",
     "RunResult": "repro.engine.results",
     "VectorizedResult": "repro.engine.vectorized",
-    "run_vectorized": "repro.engine.vectorized",
-    "FastResult": "repro.engine.fast",
-    "run_fast": "repro.engine.fast",
     "DifferentialReport": "repro.engine.compare",
     "differential_check": "repro.engine.compare",
 }
@@ -84,9 +78,6 @@ __all__ = [
     "list_engines",
     "RunResult",
     "VectorizedResult",
-    "run_vectorized",
-    "FastResult",
-    "run_fast",
     "DifferentialReport",
     "differential_check",
 ]

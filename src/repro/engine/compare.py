@@ -8,11 +8,13 @@ match **exactly**:
 * reset times and non-reset handler times,
 * per-phase message counts.
 
-The faithful and vectorized engines are fully independent implementations;
-the fast engine (:mod:`repro.engine.fast`) shares the protocol round loop
-with the vectorized one but derives its control flow (segment skipping)
-independently, so the three-way comparison pins both the protocol semantics
-and the event-detection logic.  Any mismatch indicates a semantic bug; the
+The faithful and vectorized engines are fully independent implementations.
+The fast engine shares the vectorized engine's kernel, violation handler
+included, and differs from it only in the lookahead: it finds violating
+rows with :meth:`~repro.engine.kernel.FilterState.scan_quiet` block scans
+instead of one quietness check per row.  The three-way comparison therefore
+pins the protocol semantics (faithful vs vectorized) and the lookahead
+(vectorized vs fast).  Any mismatch indicates a semantic bug; the
 :class:`DifferentialReport` pinpoints the first diverging quantity.
 
 Since the unified-run redesign every engine is exercised through
@@ -51,7 +53,7 @@ def _compare_counting_results(a, b) -> str | None:
     """First difference between two results, or ``None`` when equal.
 
     Works on any pair sharing the counting-result field layout —
-    native ``VectorizedResult``/``FastResult`` objects or unified
+    native ``VectorizedResult`` objects or unified
     :class:`~repro.engine.results.RunResult` adapters — and compares
     field-by-field exact equality.
     """

@@ -15,8 +15,9 @@ stacked sweep); now every layer calls one of the three entry points here:
   comparison (the service manager's batched sweep);
 * :meth:`FilterState.scan_quiet` — cross-row lookahead over a ``(B, n)``
   block in geometrically growing chunks, returning the first violating
-  row index (the fast engine's segment skip, and the service's deep-inbox
-  drain).
+  row index.  It is the one lookahead: ``IncrementalKernel.observe_many``
+  runs it, for the fast engine over a whole matrix and for the service's
+  deep-inbox drain over a block.
 
 The exact-arithmetic convention (see :mod:`repro.core.monitor`): ``M`` is
 a half-integer, so the doubled bound keeps everything in int64.  For the
@@ -52,7 +53,6 @@ from repro.util.intmath import ceil_log2
 
 __all__ = [
     "FilterState",
-    "SegmentScanner",
     "violates_stacked",
     "violates_value",
     "protocol_run",
@@ -309,67 +309,6 @@ def violates_stacked(rows: np.ndarray, states: Sequence[FilterState]) -> np.ndar
     m2 = np.array([s.m2 for s in states], dtype=np.int64)[:, None]
     doubled = 2 * rows
     return ((sides & (doubled < m2)) | (~sides & (doubled > m2))).any(axis=1)
-
-
-class SegmentScanner:
-    """Whole-matrix lookahead with reductions cached across bound moves.
-
-    The offline fast engine scans one fixed ``(T, n)`` matrix; unlike
-    :meth:`FilterState.scan_quiet` (which re-reduces the block it is
-    given), this scanner caches the per-row reductions for the current
-    reset segment — they depend only on the side partition, which changes
-    only at resets, **not** on ``M2``, which also moves at midpoint
-    updates — and re-evaluates just the two 1-D threshold comparisons when
-    the bound moves.  Cache fills lazily in geometrically growing chunks.
-    """
-
-    def __init__(self, values: np.ndarray):
-        self._values = values
-        self._steps = values.shape[0]
-        T = values.shape[0]
-        self._top_min = np.empty(T, dtype=np.int64)  # per-row min over TOP
-        self._bot_max = np.empty(T, dtype=np.int64)  # per-row max over BOTTOM
-        self._filled = 0
-        self._chunk = _SCAN_CHUNK_MIN
-        self._top_sel: slice | np.ndarray = slice(0, 0)
-        self._bot_sel: slice | np.ndarray = slice(0, 0)
-
-    def reset(self, t: int, state: FilterState) -> None:
-        """Invalidate the cache: a reset at ``t`` changed the partition."""
-        self._top_sel = _selector(state.top_ids)
-        self._bot_sel = _selector(state.bot_ids)
-        self._filled = t + 1
-        self._chunk = _SCAN_CHUNK_MIN
-
-    def _extend(self) -> None:
-        t1 = min(self._steps, self._filled + self._chunk)
-        block = self._values[self._filled : t1]
-        self._top_min[self._filled : t1] = block[:, self._top_sel].min(axis=1)
-        self._bot_max[self._filled : t1] = block[:, self._bot_sel].max(axis=1)
-        self._filled = t1
-        self._chunk = min(self._chunk * 4, _SCAN_CHUNK_MAX)
-
-    def next_violation(self, start: int, m2: int) -> int:
-        """First ``t >= start`` whose row violates a filter, or ``T``."""
-        lo, hi = _thresholds(m2)
-        T = self._steps
-        pos = start
-        # Compare in geometric sub-windows from ``pos`` rather than over the
-        # whole cached region, so violation-dense stretches behind a long
-        # filled prefix cost O(span) per event instead of O(filled - pos).
-        span = _SCAN_CHUNK_MIN
-        while pos < T:
-            if self._filled <= pos:
-                self._extend()
-                continue
-            end = min(self._filled, pos + span)
-            window = (self._top_min[pos:end] < lo) | (self._bot_max[pos:end] > hi)
-            first = int(window.argmax())
-            if window[first]:
-                return pos + first
-            pos = end
-            span = min(span * 4, _SCAN_CHUNK_MAX)
-        return T
 
 
 # --------------------------------------------------------------------------

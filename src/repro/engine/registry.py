@@ -5,7 +5,8 @@ Three engines ship with the package and self-register on first lookup:
 * ``faithful`` — the object-model monitor (transports, ledger, events;
   audit and every ablation knob).
 * ``vectorized`` — the flat-NumPy per-step counting engine.
-* ``fast`` — the segment-skipping event-driven counting engine.
+* ``fast`` — the segment-skipping counting engine: the same kernel,
+  stepped by its quiet-row lookahead instead of row by row.
 
 All three follow the shared randomness convention, so for equal seeds their
 :class:`~repro.engine.results.RunResult` output is bit-identical — new
@@ -116,8 +117,7 @@ ENGINES: dict[str, EngineInfo] = {}
 # engines can register before, after, or instead of them.
 _BUILTIN_MODULES = (
     "repro.engine.faithful",
-    "repro.engine.vectorized",
-    "repro.engine.fast",
+    "repro.engine.vectorized",  # registers both counting engines
 )
 _builtins_loaded = False
 

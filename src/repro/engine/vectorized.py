@@ -1,22 +1,35 @@
-"""Vectorized re-implementation of Algorithm 1 (counting only).
+"""The counting engines: Algorithm 1 in flat NumPy (no transports).
 
 Independent from :mod:`repro.core.monitor` by design: the protocol round
 loop, violation detection, handler and reset logic are all re-derived here
 from the paper, in flat NumPy, with plain integer counters instead of
-transports.  Differential testing between the two engines (see
+transports.  Differential testing between the two implementations (see
 :mod:`repro.engine.compare`) is the strongest correctness check in this
-reproduction — any semantic drift in either implementation breaks exact
-equality of trajectories *and* message counts.
+reproduction — any semantic drift in either breaks exact equality of
+trajectories *and* message counts.
+
+Both counting engines are one :class:`IncrementalKernel`:
+
+* ``vectorized`` runs the kernel's per-row ``_step`` over the matrix;
+* ``fast`` is one :meth:`IncrementalKernel.observe_many` call over the
+  whole matrix.  Between communication events the filters are static, so
+  :meth:`~repro.engine.kernel.FilterState.scan_quiet` finds the next
+  violating row in geometrically growing block reductions, the quiet rows
+  before it are filled by slice assignment, and the violation handler runs
+  only at the rows it finds — the paper's point that filter-based
+  monitoring makes almost every step quiet.
 
 The filter state itself — partition, doubled bound, quietness decision —
 lives one layer down in :mod:`repro.engine.kernel` (:class:`FilterState`),
-which this module shares with the faithful monitor, the fast engine, and
-the streaming service: the ``2·v`` vs ``M2`` comparison is implemented
-exactly once, there.
+which this module shares with the faithful monitor and the streaming
+service: the ``2·v`` vs ``M2`` comparison is implemented exactly once,
+there.
 
 Randomness convention (shared with the faithful engine): every protocol
 round draws ``rng.random(size=#active)`` over active participants in
-ascending node-id order, including the forced final round.
+ascending node-id order, including the forced final round.  Quiet steps
+consume no randomness, so both engines are bit-identical to each other and
+to the faithful engine.
 """
 
 from __future__ import annotations
@@ -42,19 +55,31 @@ from repro.engine.registry import (
 )
 from repro.engine.results import RunResult
 from repro.errors import ConfigurationError
-from repro.util.deprecation import warn_deprecated
+from repro.obs.registry import OBS, counter as _obs_counter
 from repro.util.seeding import derive_rng
 from repro.util.validation import check_k, check_matrix
 
-__all__ = ["VectorizedResult", "IncrementalKernel", "run_vectorized"]
+__all__ = ["VectorizedResult", "IncrementalKernel"]
 
 #: Schema tag for :meth:`IncrementalKernel.snapshot` payloads.
 KERNEL_SCHEMA_VERSION = 1
 
+# Registry families (repro/obs): the fast engine's segment-skip hit rate is
+# skipped/(skipped+violation) over these two series; published once per
+# run, so the lookahead itself carries no instrumentation cost.
+_OBS_SEG_ROWS = _obs_counter(
+    "repro_engine_segment_rows_total",
+    "rows classified by the fast engine's segment scanner",
+    ("outcome",),
+)
+_OBS_VIOLATIONS = _obs_counter(
+    "repro_engine_violations_total", "violation events handled by the fast engine"
+)
+
 
 @dataclass
 class VectorizedResult:
-    """Counters and trajectory produced by :func:`run_vectorized`."""
+    """Counters and trajectory of one counting-engine run."""
 
     n: int
     k: int
@@ -73,15 +98,17 @@ class VectorizedResult:
 
 
 class IncrementalKernel:
-    """The vectorized engine in stateful, row-at-a-time form.
+    """The counting engines in stateful, row-at-a-time form.
 
     One kernel is one Algorithm-1 coordinator: :meth:`step` consumes the
     next observation row and returns the current top-k ids, exactly like
     :meth:`repro.core.monitor.OnlineSession.observe` but with the counting
-    engine's flat-NumPy internals.  ``_run_vectorized`` is a plain loop
-    over this class, so the kernel *is* the vectorized engine — the
-    differential tests that hold the batch entry point bit-identical to
-    the faithful engine cover the incremental path by construction.
+    engines' flat-NumPy internals.  The kernel *is* both counting engines:
+    ``vectorized`` is a plain per-row loop over it and ``fast`` one
+    :meth:`observe_many` call over the whole matrix, so the differential
+    tests that hold those entry points bit-identical to the faithful engine
+    cover the incremental path by construction.  Both paths run the one
+    violation handler, :meth:`_violation`.
 
     The kernel is also the unit the streaming service batches and
     checkpoints: it exposes its :class:`~repro.engine.kernel.FilterState`
@@ -117,7 +144,7 @@ class IncrementalKernel:
         protocol = protocol or ProtocolConfig()
         if protocol.broadcast_every_round:
             raise NotImplementedError(
-                "the vectorized engine implements the default broadcast-on-improvement "
+                "the counting engines implement the default broadcast-on-improvement "
                 "policy only; use the faithful engine for ablation A3"
             )
         self._skip_redundant_min = skip_redundant_min
@@ -233,10 +260,12 @@ class IncrementalKernel:
             v = self.filter.scan_quiet(rows, t)
             if v > t:  # quiet prefix: the partition is frozen, fill by slice
                 history[t:v] = self.filter.top_ids
-                self._t += v - t
+            self._t += v - t
             if v == B:
                 break
-            history[v] = self._step(rows[v])
+            self._t += 1
+            self._violation(rows[v])  # the scan already proved row v violating
+            history[v] = self.filter.top_ids
             t = v + 1
         return history
 
@@ -250,29 +279,39 @@ class IncrementalKernel:
             return state.top_ids
         if self._t == 0:
             self._filter_reset(row)
-            return state.top_ids
-        if state.violates(row):
-            viol_top, viol_bot = state.violators(row)
-            top_bound = max(1, self.k)
-            bottom_bound = max(1, self.n - self.k)
-            min_out = self._protocol(viol_top, row, top_bound, -1, "violation_min", False)
-            max_out = self._protocol(viol_bot, row, bottom_bound, +1, "violation_max", False)
-            self.handler_calls += 1
-            if self._track_times:
-                self.handler_times.append(self._t)
-            if max_out is None:
-                max_out = self._protocol(state.bot_ids, row, bottom_bound, +1, "handler_max", True)
-            elif not (self._skip_redundant_min and min_out is not None):
-                min_out = self._protocol(state.top_ids, row, top_bound, -1, "handler_min", True)
-            assert min_out is not None and max_out is not None
-            if state.absorb(min_out[1], max_out[1]):
-                self._filter_reset(row)
-                if self._track_times:
-                    self.handler_times.pop()  # reclassified as a reset step
-            else:
-                state.rebound()
-                self.counts["midpoint_broadcast"] += 1
+        elif state.violates(row):
+            self._violation(row)
         return state.top_ids
+
+    def _violation(self, row: np.ndarray) -> None:
+        """The violation handler at step ``_t``, on a row known to violate.
+
+        Runs the violators' protocols, completes the extremes with a
+        coordinator-initiated run where one side stayed silent, then either
+        resets the filters (the top-k set changed) or broadcasts the halved
+        midpoint.
+        """
+        state = self.filter
+        viol_top, viol_bot = state.violators(row)
+        top_bound = max(1, self.k)
+        bottom_bound = max(1, self.n - self.k)
+        min_out = self._protocol(viol_top, row, top_bound, -1, "violation_min", False)
+        max_out = self._protocol(viol_bot, row, bottom_bound, +1, "violation_max", False)
+        self.handler_calls += 1
+        if self._track_times:
+            self.handler_times.append(self._t)
+        if max_out is None:
+            max_out = self._protocol(state.bot_ids, row, bottom_bound, +1, "handler_max", True)
+        elif not (self._skip_redundant_min and min_out is not None):
+            min_out = self._protocol(state.top_ids, row, top_bound, -1, "handler_min", True)
+        assert min_out is not None and max_out is not None
+        if state.absorb(min_out[1], max_out[1]):
+            self._filter_reset(row)
+            if self._track_times:
+                self.handler_times.pop()  # reclassified as a reset step
+        else:
+            state.rebound()
+            self.counts["midpoint_broadcast"] += 1
 
     def _protocol(self, participants, row, upper, sign, phase, initiated):
         return _protocol_run(
@@ -346,27 +385,12 @@ class IncrementalKernel:
         return kernel
 
 
-def _run_vectorized(
-    values: np.ndarray,
-    k: int,
-    *,
-    seed=None,
-    skip_redundant_min: bool = False,
-    protocol: ProtocolConfig | None = None,
-) -> VectorizedResult:
-    """Run Algorithm 1 over a ``(T, n)`` matrix with array-only internals."""
-    values = check_matrix(values)
-    T, n = values.shape
-    kernel = IncrementalKernel(
-        n, k, seed=seed, skip_redundant_min=skip_redundant_min, protocol=protocol
-    )
-    history = np.empty((T, kernel.k), dtype=np.int64)
-    for t in range(T):
-        history[t] = kernel._step(values[t])
+def _counting_result(kernel: IncrementalKernel, history: np.ndarray) -> VectorizedResult:
+    """A finished run's trajectory with the kernel's counters."""
     return VectorizedResult(
         n=kernel.n,
         k=kernel.k,
-        steps=T,
+        steps=history.shape[0],
         topk_history=history,
         by_phase=kernel.counts,
         resets=kernel.resets,
@@ -376,7 +400,7 @@ def _run_vectorized(
     )
 
 
-def run_vectorized(
+def _run_vectorized(
     values: np.ndarray,
     k: int,
     *,
@@ -384,11 +408,16 @@ def run_vectorized(
     skip_redundant_min: bool = False,
     protocol: ProtocolConfig | None = None,
 ) -> VectorizedResult:
-    """Deprecated entry point; use ``repro.run(RunSpec(..., engine="vectorized"))``."""
-    warn_deprecated("run_vectorized", 'repro.run(RunSpec(..., engine="vectorized"))')
-    return _run_vectorized(
-        values, k, seed=seed, skip_redundant_min=skip_redundant_min, protocol=protocol
+    """Run Algorithm 1 over a ``(T, n)`` matrix, one kernel step per row."""
+    values = check_matrix(values)
+    T, n = values.shape
+    kernel = IncrementalKernel(
+        n, k, seed=seed, skip_redundant_min=skip_redundant_min, protocol=protocol
     )
+    history = np.empty((T, kernel.k), dtype=np.int64)
+    for t in range(T):
+        history[t] = kernel._step(values[t])
+    return _counting_result(kernel, history)
 
 
 def check_counting_config(config, engine: str) -> None:
@@ -414,6 +443,27 @@ def _engine_runner(values: np.ndarray, k: int, *, seed, config) -> RunResult:
         protocol=config.protocol,
     )
     return RunResult.from_counting(result, engine="vectorized")
+
+
+def _fast_runner(values: np.ndarray, k: int, *, seed, config) -> RunResult:
+    """The ``fast`` engine: one :meth:`IncrementalKernel.observe_many` call
+    over the whole matrix, so per-row work is paid only at violating rows."""
+    check_counting_config(config, "fast")
+    values = check_matrix(values)
+    T, n = values.shape
+    kernel = IncrementalKernel(
+        n, k, seed=seed,
+        skip_redundant_min=config.skip_redundant_min,
+        protocol=config.protocol,
+    )
+    history = kernel.observe_many(values)
+    if OBS.on and not kernel.trivial:
+        # Row 0 is the initialization reset; every other non-event row was
+        # skipped as part of a quiet segment.
+        _OBS_SEG_ROWS.labels(outcome="violation").inc(kernel.handler_calls + 1)
+        _OBS_SEG_ROWS.labels(outcome="skipped").inc(T - 1 - kernel.handler_calls)
+        _OBS_VIOLATIONS.inc(kernel.handler_calls)
+    return RunResult.from_counting(_counting_result(kernel, history), engine="fast")
 
 
 def _session_factory(n: int, k: int, *, seed=None, config=None) -> IncrementalKernel:
@@ -442,4 +492,10 @@ register_engine(
     session_factory=_session_factory,
     session_snapshot=_session_snapshot,
     session_restore=IncrementalKernel.from_snapshot,
+)
+register_engine(
+    "fast",
+    description="segment-skipping event-driven counting engine (quiet steps cost ~0)",
+    capabilities={CAP_TRAJECTORY, CAP_COUNTING},
+    runner=_fast_runner,
 )

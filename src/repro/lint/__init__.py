@@ -2,9 +2,9 @@
 
 The repo's load-bearing promises (bit-identical engines, one quietness
 kernel, seeded randomness everywhere, a non-blocking service hot path,
-complete checkpoint codecs, retired legacy entry points) are cheap to keep
-while they are machine-checked and expensive to rediscover after they rot.
-This package checks them on every CI run: six AST rules (R1-R6) over the
+complete checkpoint codecs) are cheap to keep while they are
+machine-checked and expensive to rediscover after they rot.
+This package checks them on every CI run: five AST rules (R1-R5) over the
 package source, with per-line suppressions for derived/transient cases and
 a committed baseline (``.reprolint-baseline.json``) for the grandfathered,
 genuinely intentional ones.
@@ -18,7 +18,7 @@ Run it::
 Library form::
 
     from repro.lint import check_source, run_lint
-    findings = check_source(code, "repro/engine/fast.py")
+    findings = check_source(code, "repro/engine/vectorized.py")
 
 Rules self-register through :mod:`repro.lint.registry` exactly like
 engines do through :mod:`repro.engine.registry`; the README rule table is

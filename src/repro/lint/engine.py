@@ -80,7 +80,7 @@ def check_source(
     """Lint one module given as text; returns unsuppressed findings sorted.
 
     ``relpath`` is the package-relative path the module is *treated as*
-    (``repro/engine/fast.py``) — rules scope on it, which is what lets
+    (``repro/engine/vectorized.py``) — rules scope on it, which is what lets
     fixture snippets exercise path-scoped rules from a temp directory.
     """
     try:

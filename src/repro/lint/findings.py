@@ -3,7 +3,7 @@
 A *finding* is one rule violation at one source location; a
 :class:`ModuleContext` is everything a rule needs to inspect one parsed
 module: its AST, its source lines, its path *inside the package*
-(``repro/engine/fast.py`` — the coordinate every rule scopes on), and a
+(``repro/engine/vectorized.py`` — the coordinate every rule scopes on), and a
 resolver from AST expressions to dotted import names.
 """
 

@@ -61,7 +61,6 @@ _BUILTIN_MODULES = (
     "repro.lint.rules.registry_contract",
     "repro.lint.rules.async_hotpath",
     "repro.lint.rules.snapshot_complete",
-    "repro.lint.rules.deprecation_hygiene",
 )
 _builtins_loaded = False
 

@@ -117,6 +117,14 @@ GROUP_SHARDS = 16
 #: Seconds between router-driven fan-out checkpoints.
 DEFAULT_CHECKPOINT_INTERVAL = 0.5
 
+#: Seconds one exchange on a worker's shared link may take.  A worker that
+#: has not answered by then is presumed hung (stopped, deadlocked): it is
+#: SIGKILLed, so its monitor fails it over like any other dead worker,
+#: instead of stalling every fan-out over the workers behind it.  Far
+#: above any exchange a live worker makes; parked ``wait`` queries use
+#: ``fresh_request`` and have no deadline.
+WORKER_REQUEST_TIMEOUT = 30.0
+
 #: Router-side routing-table filename inside the fleet checkpoint root.
 _ROUTES_FILE = "router.json"
 
@@ -285,19 +293,30 @@ class _WorkerProc:
         Returns the parsed reply — including ``ok: false`` replies, which
         the caller forwards or maps; only *transport* failure raises
         (:class:`_WorkerLost`), because that is the worker-death signal.
+        A worker silent past :data:`WORKER_REQUEST_TIMEOUT` is killed and
+        counts as lost too.
         """
         async with self._lock:
             try:
-                self._writer.write(_wire.encode_request(payload))
-                await self._writer.drain()
-                kind, body = await _wire.read_frame(self._reader)
-                return _wire.decode_reply(kind, body)
+                return await asyncio.wait_for(self._exchange(payload), WORKER_REQUEST_TIMEOUT)
+            except asyncio.TimeoutError:
+                self.kill()
+                raise _WorkerLost(
+                    f"worker {self.slot} did not answer within "
+                    f"{WORKER_REQUEST_TIMEOUT:g} s; killed it"
+                ) from None
             except (_wire.FrameEOF, _wire.FrameError, _wire.FramePayloadError) as exc:
                 # The workers are local children: a broken or truncated
                 # frame on the shared link means the process died mid-write.
                 raise _WorkerLost(f"worker {self.slot} connection lost: {exc}") from exc
             except (ConnectionError, OSError) as exc:
                 raise _WorkerLost(f"worker {self.slot} connection lost: {exc}") from exc
+
+    async def _exchange(self, payload: dict) -> dict:
+        self._writer.write(_wire.encode_request(payload))
+        await self._writer.drain()
+        kind, body = await _wire.read_frame(self._reader)
+        return _wire.decode_reply(kind, body)
 
     async def fresh_request(self, payload: dict) -> dict:
         """One round trip on a throwaway connection.

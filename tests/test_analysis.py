@@ -216,19 +216,6 @@ class TestSweeps:
         with pytest.raises(ConfigurationError):
             run_sweep("s", [{"x": 1}], lambda rng_seed, x: 0.0, backend="banana")
 
-    def test_executor_alias_warns_and_works(self):
-        from repro.util import deprecation
-
-        deprecation.reset_warned()
-        with pytest.warns(DeprecationWarning, match="executor"):
-            legacy = run_sweep(
-                "s", [{"x": 1}], _picklable_measure, repetitions=2, seed=3, executor="serial"
-            )
-        modern = run_sweep(
-            "s", [{"x": 1}], _picklable_measure, repetitions=2, seed=3, backend="serial"
-        )
-        assert legacy.points[0].samples == modern.points[0].samples
-
     @pytest.mark.parametrize("workers", [2, 5])
     def test_parallel_results_identical_to_serial(self, workers):
         """Seeds are precomputed in grid order: any worker count, same sweep."""
@@ -283,12 +270,6 @@ class TestSweeps:
             "s", [{"x": v} for v in (3, 1, 2)], lambda rng_seed, x: float(x), repetitions=2
         )
         assert res.means() == [3.0, 1.0, 2.0]
-
-    def test_backend_executor_conflict(self):
-        with pytest.raises(ConfigurationError, match="conflicting"):
-            run_sweep(
-                "s", [{"x": 1}], _picklable_measure, backend="serial", executor="thread"
-            )
 
 
 class TestBackendDeterminism:

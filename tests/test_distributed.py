@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.events import MonitorResult
 from repro.core.monitor import TopKMonitor
 from repro.distributed import run_distributed
 from repro.distributed.node import NodeAgent
-from repro.engine import run_vectorized
 from repro.streams import (
     churn_below_boundary,
     crossing_pair,
@@ -134,7 +134,7 @@ class TestThreeWayDifferential:
         n = values.shape[1]
         seed = 77
         faithful = TopKMonitor(n=n, k=k, seed=seed).run(values)
-        vector = run_vectorized(values, k, seed=seed)
+        vector = repro.run(repro.RunSpec(values, k=k, seed=seed), engine="vectorized")
         dist = run_distributed(values, k, seed=seed)
 
         assert np.array_equal(faithful.topk_history, dist.topk_history), name

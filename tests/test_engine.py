@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.events import MonitorResult
+from repro.core.monitor import MonitorConfig
 from repro.engine.compare import _compare_counting_results
 from repro.core.protocols import ProtocolConfig
-from repro.engine import differential_check, run_fast, run_vectorized
+from repro.engine import differential_check
 from repro.streams import (
     adversarial_rotation,
     churn_below_boundary,
@@ -22,10 +24,16 @@ from repro.streams import (
 )
 
 
+def _run(values, k, *, seed, engine="vectorized", **config):
+    """One counting-engine run through the unified front door."""
+    spec = repro.RunSpec(values, k=k, seed=seed, config=MonitorConfig(**config))
+    return repro.run(spec, engine=engine)
+
+
 class TestVectorizedBasics:
     def test_static_only_init(self):
         values = staircase(8, 50).generate()
-        res = run_vectorized(values, 3, seed=1)
+        res = _run(values, 3, seed=1)
         assert res.resets == 1
         assert res.handler_calls == 0
         assert res.total_messages == res.by_phase["reset_protocol"] + res.by_phase[
@@ -34,23 +42,23 @@ class TestVectorizedBasics:
 
     def test_answers_valid(self):
         values = random_walk(10, 200, seed=2, step_size=5).generate()
-        res = run_vectorized(values, 4, seed=3)
+        res = _run(values, 4, seed=3)
         assert MonitorResult.check_history(res.topk_history, values, 4) == 0
 
     def test_k_equals_n(self):
         values = random_walk(5, 30, seed=1).generate()
-        res = run_vectorized(values, 5, seed=1)
+        res = _run(values, 5, seed=1)
         assert res.total_messages == 0
         assert np.array_equal(res.topk_history[0], np.arange(5))
 
     def test_rejects_every_round_policy(self):
         values = staircase(4, 5).generate()
         with pytest.raises(NotImplementedError):
-            run_vectorized(values, 2, seed=0, protocol=ProtocolConfig(broadcast_every_round=True))
+            _run(values, 2, seed=0, protocol=ProtocolConfig(broadcast_every_round=True))
 
     def test_handler_vs_reset_times_disjoint(self):
         values = random_walk(10, 300, seed=4, step_size=6).generate()
-        res = run_vectorized(values, 3, seed=5)
+        res = _run(values, 3, seed=5)
         assert not (set(res.handler_times) & set(res.reset_times))
 
 
@@ -141,24 +149,27 @@ class TestThreeWayDifferential:
     def test_fast_matches_vectorized_field_by_field(self, name):
         overrides = {"k": 3} if name == "crossing_pair" else {}
         values = get_workload(name, 12, 300, seed=5, **overrides).generate()
-        vec = run_vectorized(values, 4, seed=11)
-        fast = run_fast(values, 4, seed=11)
+        vec = _run(values, 4, seed=11)
+        fast = _run(values, 4, seed=11, engine="fast")
         assert _counting_results_equal(vec, fast), name
 
     def test_skip_redundant_min_variant(self):
         values = random_walk(10, 300, seed=10, step_size=5).generate()
-        vec = run_vectorized(values, 3, seed=1, skip_redundant_min=True)
-        fast = run_fast(values, 3, seed=1, skip_redundant_min=True)
+        vec = _run(values, 3, seed=1, skip_redundant_min=True)
+        fast = _run(values, 3, seed=1, engine="fast", skip_redundant_min=True)
         assert _counting_results_equal(vec, fast)
 
     def test_rejects_every_round_policy(self):
         values = staircase(4, 5).generate()
         with pytest.raises(NotImplementedError):
-            run_fast(values, 2, seed=0, protocol=ProtocolConfig(broadcast_every_round=True))
+            _run(
+                values, 2, seed=0, engine="fast",
+                protocol=ProtocolConfig(broadcast_every_round=True),
+            )
 
     def test_answers_valid(self):
         values = random_walk(10, 200, seed=2, step_size=5).generate()
-        res = run_fast(values, 4, seed=3)
+        res = _run(values, 4, seed=3, engine="fast")
         assert MonitorResult.check_history(res.topk_history, values, 4) == 0
 
     @given(st.integers(0, 10**5))
@@ -172,8 +183,8 @@ class TestThreeWayDifferential:
             values = gen.integers(0, 25, (T, n)).astype(np.int64)
         else:
             values = np.cumsum(gen.integers(-4, 5, (T, n)), axis=0).astype(np.int64) + 200
-        vec = run_vectorized(values, k, seed=seed % 89)
-        fast = run_fast(values, k, seed=seed % 89)
+        vec = _run(values, k, seed=seed % 89)
+        fast = _run(values, k, seed=seed % 89, engine="fast")
         assert _counting_results_equal(vec, fast), f"seed={seed}"
 
 
@@ -189,7 +200,7 @@ class TestVectorizedSpeedup:
         TopKMonitor(n=128, k=8, seed=1).run(values)
         faithful = time.perf_counter() - t0
         t0 = time.perf_counter()
-        run_vectorized(values, 8, seed=1)
+        _run(values, 8, seed=1)
         vector = time.perf_counter() - t0
         # Generous margin: CI machines are noisy; it must at least not be slower.
         assert vector <= faithful * 1.2, f"vectorized {vector:.3f}s vs faithful {faithful:.3f}s"
@@ -203,8 +214,8 @@ class TestVectorizedSpeedup:
         import time
 
         values = random_walk(64, 1500, seed=13, step_size=3, spread=200).generate()
-        run_vectorized(values, 8, seed=14)  # warm both paths
-        run_fast(values, 8, seed=14)
+        _run(values, 8, seed=14)  # warm both paths
+        _run(values, 8, seed=14, engine="fast")
 
         def best_of(fn, rounds=3):
             times = []
@@ -214,7 +225,7 @@ class TestVectorizedSpeedup:
                 times.append(time.perf_counter() - t0)
             return min(times)
 
-        vector = best_of(lambda: run_vectorized(values, 8, seed=14))
-        fast = best_of(lambda: run_fast(values, 8, seed=14))
+        vector = best_of(lambda: _run(values, 8, seed=14))
+        fast = best_of(lambda: _run(values, 8, seed=14, engine="fast"))
         # Generous margin: CI machines are noisy; it must at least not be slower.
         assert fast <= vector * 1.2, f"fast {fast:.4f}s vs vectorized {vector:.4f}s"

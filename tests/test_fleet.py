@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import signal
+import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 
@@ -32,6 +33,7 @@ import repro
 from repro.core.monitor import TopKMonitor
 from repro.errors import ConfigurationError, ServiceError
 from repro.service import ServiceClient, SessionManager, start_fleet
+from repro.service import fleet as fleet_module
 from repro.service.fleet import GROUP_SHARDS, HashRing, batch_group, stable_hash
 from repro.streams import get_workload, list_workloads
 
@@ -373,6 +375,47 @@ class TestFleetFailover:
                 fleet_metrics = client.metrics()["fleet"]
                 assert fleet_metrics["failovers"] == 1
                 assert fleet_metrics["rows_replayed"] == 7
+
+    def test_hung_worker_is_failed_over(self, monkeypatch):
+        """A worker that stops answering without exiting (SIGSTOP) is
+        killed at the shared-link deadline and failed over: fleet-wide
+        requests still answer, and every session resumes bit-identically."""
+        monkeypatch.setattr(fleet_module, "WORKER_REQUEST_TIMEOUT", 2.0)
+        rng = np.random.default_rng(53)
+        with start_fleet(workers=2, checkpoint_interval=60) as fleet:
+            with ServiceClient(fleet.address, timeout=120) as client:
+                local = SessionManager()
+                handles = {}
+                for i in range(8):
+                    handle = client.create_session(n=N, k=K, seed=960 + i)
+                    local.create(N, K, seed=960 + i, session_id=handle.id)
+                    handles[handle.id] = handle
+                for sid, handle in handles.items():
+                    rows = rng.integers(0, 100, size=(10, N))
+                    handle.feed_rows(rows)
+                    local.feed_many(sid, rows)
+
+                victim = max(client.fleet()["workers"], key=lambda w: w["sessions"])
+                assert victim["sessions"] > 0
+                os.kill(victim["pid"], signal.SIGSTOP)
+                assert "fleet" in client.metrics()
+                deadline = time.monotonic() + 60
+                while client.fleet()["failovers"] < 1:
+                    assert time.monotonic() < deadline, "hung worker never failed over"
+                    time.sleep(0.1)
+
+                for sid, handle in handles.items():
+                    rows = rng.integers(0, 100, size=(10, N))
+                    handle.feed_rows(rows)
+                    local.feed_many(sid, rows)
+                local.drain()
+                for sid, handle in handles.items():
+                    remote = handle.query(wait=True)
+                    view = local.query(sid)
+                    assert remote["time"] == view.time, sid
+                    assert remote["topk"] == list(view.topk), sid
+                    assert remote["messages"] == view.message_count, sid
+                assert client.fleet()["failovers"] == 1
 
     def test_restore_short_of_acked_rows_fails_loudly(self, tmp_path):
         """A replacement missing rows its predecessor acknowledged cannot

@@ -1,8 +1,9 @@
 """The filter kernel (repro/engine/kernel.py): the one quietness layer.
 
 Every entry point — scalar ``violates``, id-producing ``violators``, the
-stacked sweep check, the ``scan_quiet`` block lookahead, and the cached
-``SegmentScanner`` — must agree with the brute-force doubled comparison
+stacked sweep check, and the ``scan_quiet`` block lookahead (the one
+lookahead, shared by the fast engine and the service) — must agree with
+the brute-force doubled comparison
 ``sides & (2·v < M2) | ~sides & (2·v > M2)`` on arbitrary states,
 including negative values and odd (half-integer midpoint) bounds.
 """
@@ -16,7 +17,6 @@ import pytest
 
 from repro.engine.kernel import (
     FilterState,
-    SegmentScanner,
     violates_stacked,
     violates_value,
 )
@@ -125,37 +125,6 @@ class TestStacked:
         rows = rng.integers(-60, 60, size=(12, n))
         noisy = violates_stacked(rows, states)
         assert noisy.tolist() == [s.violates(r) for s, r in zip(states, rows)]
-
-
-class TestSegmentScanner:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_next_violation_matches_per_row(self, seed):
-        rng = np.random.default_rng(300 + seed)
-        n = int(rng.integers(2, 10))
-        state = _random_state(rng, n)
-        values = rng.integers(-5, 5, size=(300, n)) + state.m2 // 2
-        scanner = SegmentScanner(values)
-        scanner.reset(-1, state)  # cache valid from row 0
-        for start in (0, 1, 17, 120, 299):
-            expected = next(
-                (t for t in range(start, 300) if _brute_violates(state, values[t])), 300
-            )
-            assert scanner.next_violation(start, state.m2) == expected
-
-    def test_bound_moves_reuse_cached_reductions(self):
-        """After a midpoint move (same partition) the scanner answer must
-        track the new bound without a reset() call."""
-        rng = np.random.default_rng(7)
-        state = FilterState.blank(6)
-        state.install([0, 1, 2], 42, 40)
-        values = np.concatenate(
-            [rng.integers(40, 46, size=(100, 3)), rng.integers(0, 6, size=(100, 3))],
-            axis=1,
-        )  # TOP side high, BOTTOM side low: quiet for any midpoint between
-        scanner = SegmentScanner(values)
-        scanner.reset(-1, state)
-        assert scanner.next_violation(0, 40) == 100  # M = 20 separates the bands
-        assert scanner.next_violation(0, 200) == 0  # M = 100: every TOP row fires
 
 
 class TestSnapshot:

@@ -32,7 +32,7 @@ def rules_hit(source: str, relpath: str, *, select=None):
 
 class TestRegistry:
     def test_all_six_rules_registered(self):
-        assert [r.id for r in list_rules()] == ["R1", "R2", "R3", "R4", "R5", "R6"]
+        assert [r.id for r in list_rules()] == ["R1", "R2", "R3", "R4", "R5"]
         for rule in list_rules():
             assert rule.slug and rule.summary and rule.rationale
 
@@ -189,7 +189,7 @@ class TestR3RegistryContract:
         assert findings_for(src, "repro/engine/custom.py") == []
 
     def test_real_engine_modules_consistent(self):
-        for name in ("fast.py", "vectorized.py", "faithful.py"):
+        for name in ("vectorized.py", "faithful.py"):
             path = REPO_ROOT / "src" / "repro" / "engine" / name
             source = path.read_text()
             assert check_source(source, f"repro/engine/{name}", select=["R3"]) == [], name
@@ -312,26 +312,6 @@ class TestR5SnapshotComplete:
         assert findings_for(src, "repro/engine/stepper.py") == []
 
 
-class TestR6DeprecationHygiene:
-    def test_shim_call_flagged(self):
-        src = (
-            "from repro.engine.fast import run_fast\n\n"
-            "def run_all(values, k):\n"
-            "    return run_fast(values, k, seed=0)\n"
-        )
-        findings = findings_for(src, "repro/experiments/e1_max_protocol.py")
-        assert [f.rule for f in findings] == ["R6"]
-        assert "repro.run" in findings[0].message
-
-    def test_modern_entry_point_ok(self):
-        src = (
-            "import repro\n\n"
-            "def run_all(spec):\n"
-            "    return repro.run(spec, engine='fast')\n"
-        )
-        assert findings_for(src, "repro/experiments/e1_max_protocol.py") == []
-
-
 class TestSuppression:
     SRC = "def q(v, m2):\n    return 2 * v < m2  # reprolint: disable={tag}\n"
 
@@ -416,7 +396,7 @@ class TestReporters:
         data = json.loads(render_json(self._report(tmp_path)))
         assert data["version"] == 1 and data["ok"] is False
         assert data["checked_files"] == 1
-        assert set(data["rules"]) == {"R1", "R2", "R3", "R4", "R5", "R6"}
+        assert set(data["rules"]) == {"R1", "R2", "R3", "R4", "R5"}
         (finding,) = data["findings"]
         assert finding["path"] == "repro/engine/mod.py"
         assert finding["line"] == 2 and finding["rule"] == "R1"
@@ -449,7 +429,7 @@ class TestCLIAndHead:
     def test_list_rules(self):
         proc = self._cli("--list-rules")
         assert proc.returncode == 0
-        for rule_id in ("R1", "R2", "R3", "R4", "R5", "R6"):
+        for rule_id in ("R1", "R2", "R3", "R4", "R5"):
             assert rule_id in proc.stdout
 
     def test_missing_baseline_is_usage_error(self, tmp_path):

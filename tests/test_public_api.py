@@ -31,7 +31,7 @@ class TestPublicSurface:
             ("repro.streams", ["random_walk", "sensor_field", "stitch", "get_workload"]),
             ("repro.baselines", ["NaiveMonitor", "opt_segments", "BabcockOlstonMonitor"]),
             ("repro.analysis", ["competitive_bound", "lemma41_expected_messages", "classify_growth"]),
-            ("repro.engine", ["run_vectorized", "differential_check"]),
+            ("repro.engine", ["VectorizedResult", "differential_check"]),
             ("repro.extensions", ["OrderedTopKMonitor"]),
             ("repro.model", ["MessageLedger", "render_timeline"]),
             ("repro.service", ["SessionManager", "ServiceClient", "start_server"]),

@@ -1,8 +1,6 @@
 """Tests for the unified run API: engine/backend registries, RunSpec
-resolution, RunResult adapters, deprecation shims, and the lazy package
-surface (`__dir__` / dunder rejection)."""
-
-import warnings
+resolution, RunResult adapters, and the lazy package surface (`__dir__` /
+dunder rejection)."""
 
 import numpy as np
 import pytest
@@ -28,7 +26,6 @@ from repro.engine.registry import (
 from repro.engine.results import RunResult
 from repro.errors import ConfigurationError, RegistryError
 from repro.streams import get_workload
-from repro.util import deprecation
 
 ALL_ENGINES = ("faithful", "vectorized", "fast")
 
@@ -245,42 +242,6 @@ class TestBackendRegistry:
             assert [p.samples for p in toy.points] == [p.samples for p in base.points]
         finally:
             BACKENDS.pop("reversed-serial")
-
-
-class TestDeprecationShims:
-    def _collect(self, fn, calls=2):
-        deprecation.reset_warned()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(calls):
-                fn()
-        return [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-    def test_run_fast_warns_exactly_once(self, walk):
-        from repro.engine.fast import run_fast
-
-        caught = self._collect(lambda: run_fast(walk, 3, seed=1))
-        assert len(caught) == 1
-        assert "run_fast" in str(caught[0].message)
-        assert "repro.run" in str(caught[0].message)
-
-    def test_run_vectorized_warns_exactly_once(self, walk):
-        from repro.engine.vectorized import run_vectorized
-
-        caught = self._collect(lambda: run_vectorized(walk, 3, seed=1))
-        assert len(caught) == 1
-        assert "run_vectorized" in str(caught[0].message)
-
-    def test_shims_match_unified_api(self, walk):
-        from repro.engine.fast import run_fast
-
-        deprecation.reset_warned()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_fast(walk, 3, seed=9)
-        unified = run(RunSpec(walk, k=3, seed=9), engine="fast")
-        assert legacy.total_messages == unified.total_messages
-        assert np.array_equal(legacy.topk_history, unified.topk_history)
 
 
 class TestPackageSurface:

@@ -79,8 +79,8 @@ def render_metrics() -> str:
     # first — the same set the obs wire op sees in a fully loaded process.
     import repro.analysis.distributed_backend  # noqa: F401
     import repro.distributed.runtime  # noqa: F401
-    import repro.engine.fast  # noqa: F401
     import repro.engine.kernel  # noqa: F401
+    import repro.engine.vectorized  # noqa: F401
     import repro.faults.runtime  # noqa: F401
     import repro.faults.transport  # noqa: F401
     import repro.service.fleet  # noqa: F401
