@@ -188,7 +188,7 @@ def serve(host: str = "127.0.0.1", port: int = 0, *, workers: int = 1, **options
     options:
         Forwarded to :class:`~repro.service.server.ServiceServer` or
         :class:`~repro.service.fleet.FleetRouter` (``inbox_limit``,
-        ``batch``, ``checkpoint_dir``, ``checkpoint_interval``, ...).
+        ``batch_linger``, ``checkpoint_dir``, ``checkpoint_interval``, ...).
 
     Returns
     -------

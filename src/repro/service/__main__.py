@@ -3,7 +3,7 @@
 Examples::
 
     python -m repro.service --serve 127.0.0.1:7787
-    python -m repro.service --serve 127.0.0.1:0 --inbox-limit 256 --no-batch
+    python -m repro.service --serve 127.0.0.1:0 --inbox-limit 256 --batch-linger 0.002
     python -m repro.service --serve 127.0.0.1:7787 --checkpoint-dir .sessions
     python -m repro.service --serve 127.0.0.1:7787 --workers 4 --checkpoint-dir .sessions
     python -m repro.service --metrics 127.0.0.1:7787
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import contextlib
 import json
 import sys
 
@@ -52,16 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_INBOX_LIMIT,
         help="max pending rows per session before backpressure (default %(default)s)",
-    )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable the batched stepping path (debug/comparison only)",
-    )
-    parser.add_argument(
-        "--no-lookahead",
-        action="store_true",
-        help="disable the deep-inbox block-scan drain (debug/comparison only)",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -110,8 +99,8 @@ def _split_address(value: str) -> tuple[str, int]:
 
 async def _serve(args: argparse.Namespace, host: str, port: int) -> None:
     options = dict(
-        inbox_limit=args.inbox_limit, batch=not args.no_batch, lookahead=not args.no_lookahead,
-        batch_linger=args.batch_linger, checkpoint_dir=args.checkpoint_dir,
+        inbox_limit=args.inbox_limit, batch_linger=args.batch_linger,
+        checkpoint_dir=args.checkpoint_dir,
     )
     if args.workers > 1:
         from repro.service.fleet import DEFAULT_CHECKPOINT_INTERVAL, FleetRouter
@@ -158,13 +147,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.workers < 1:
             print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
             return 2
-        # uvloop, when present, is adopted for the whole serving process
-        # (workers inherit it too: they re-run this entry point).  It is
-        # strictly optional — CI and the stock toolchain run without it.
-        with contextlib.suppress(ImportError):
-            import uvloop
-
-            asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
         try:
             asyncio.run(_serve(args, host, port))
         except KeyboardInterrupt:

@@ -274,18 +274,12 @@ class ServiceClient:
             raise ServiceError(reply.get("error", "service request failed"))
         return reply
 
-    @staticmethod
-    def _json_default(obj):
-        # A numpy batch can land here when a binary connection degrades
-        # to JSONL mid-resume (feed_rows passes arrays through on binary).
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
     def _exchange_jsonl(self, op: str, payload: dict) -> dict:
+        # Numpy batches go as lists; an oversized request raises before
+        # any byte goes out.
+        request = _wire.request_json(payload) + b"\n"
         try:
-            self._file.write((json.dumps(payload, separators=(",", ":"),
-                                         default=self._json_default) + "\n").encode())
+            self._file.write(request)
             self._file.flush()
             line = self._file.readline()
         except OSError as exc:
@@ -301,8 +295,9 @@ class ServiceClient:
     def _exchange_binary(self, op: str, payload: dict) -> dict:
         # Plain feeds pack into one KIND_FEED frame and come back as a
         # struct-packed ack; everything else rides KIND_JSON frames.
+        frame = _wire.encode_request(payload)
         try:
-            self._file.write(_wire.encode_request(payload))
+            self._file.write(frame)
             self._file.flush()
             kind, body = _wire.read_frame_blocking(self._file)
         except _wire.FrameEOF:
@@ -465,7 +460,7 @@ class SessionHandle:
         self._acked = self._received(self._client.request("query", session=self.id))
         return self._acked
 
-    def _feed_resumable(self, rows: list[list[int]], block: bool) -> dict:
+    def _feed_resumable(self, rows: "list | np.ndarray", block: bool) -> dict:
         """Send one feed batch exactly once, resuming across lost links.
 
         On connection loss the reply is unknowable, so the handle
@@ -559,18 +554,10 @@ class SessionHandle:
         """Push several rows in one round trip (same backpressure and
         resume-on-loss policy as :meth:`feed`)."""
         self.flush(block=block)
-        batch = np.asarray(rows)
-        if (
-            self._client.negotiated_wire == "binary"
-            and batch.ndim == 2
-            and batch.size
-            and np.issubdtype(batch.dtype, np.integer)
-        ):
-            # Binary framing packs the array directly — no tolist() /
-            # JSON detour.  Anything else (ragged, floats) goes through
-            # the list path so server-side validation answers identically.
-            return self._feed_resumable(batch, block)
-        return self._feed_resumable([self._rowlist(r) for r in batch], block)
+        # The binary wire packs an integer batch as it is; any other batch,
+        # or framing, carries it as JSON lists, so server-side validation
+        # answers identically.
+        return self._feed_resumable(np.asarray(rows), block)
 
     def query(self, *, wait: bool = False) -> dict:
         """Full state: time, top-k, message count, pending depth.

@@ -376,7 +376,7 @@ class FleetRouter(Frontend):
         Client-facing bind address (port 0 picks an ephemeral port).
     workers:
         Number of worker processes to shard sessions across (>= 1).
-    inbox_limit / batch / batch_linger / lookahead:
+    inbox_limit / batch_linger:
         Forwarded to every worker (same semantics as
         :class:`~repro.service.server.ServiceServer`).
     checkpoint_dir:
@@ -389,13 +389,6 @@ class FleetRouter(Frontend):
         Seconds between the checkpoints the router fans out to every
         worker; each compacts the worker's feed log, which bounds the
         rows a failover's restore replays.  ``None`` fans out none.
-    standby:
-        Keep one pre-spawned empty worker ready to adopt a dead worker's
-        checkpoint directory (failover is one ``restore`` op away instead
-        of one process spawn away).  ``False`` spawns replacements on
-        demand — slower failover, one fewer process.
-    ring_replicas:
-        Virtual nodes per worker on the consistent-hash ring.
     fault_plan:
         Optional PR-6 :class:`~repro.faults.plan.FaultPlan`; each
         :class:`~repro.faults.plan.CrashWindow` SIGKILLs worker
@@ -410,13 +403,9 @@ class FleetRouter(Frontend):
         *,
         workers: int = 2,
         inbox_limit: int = DEFAULT_INBOX_LIMIT,
-        batch: bool = True,
         batch_linger: float = 0.0,
-        lookahead: bool = True,
         checkpoint_dir: "str | os.PathLike | None" = None,
         checkpoint_interval: float = DEFAULT_CHECKPOINT_INTERVAL,
-        standby: bool = True,
-        ring_replicas: int = DEFAULT_RING_REPLICAS,
         fault_plan=None,
     ):
         if workers < 1:
@@ -438,16 +427,13 @@ class FleetRouter(Frontend):
         })
         self.n_workers = workers
         self.inbox_limit = inbox_limit
-        self.batch = batch
         self.batch_linger = batch_linger
-        self.lookahead = lookahead
         self.checkpoint_interval = checkpoint_interval
-        self.keep_standby = standby
         self.fault_plan = fault_plan
         self._given_root = Path(checkpoint_dir) if checkpoint_dir is not None else None
         self._root: Path | None = None
         self._owns_root = checkpoint_dir is None
-        self._ring = HashRing(replicas=ring_replicas)
+        self._ring = HashRing()
         self._workers: dict[str, _WorkerProc] = {}
         self._worker_seq = 0
         self._standby: _WorkerProc | None = None
@@ -482,8 +468,7 @@ class FleetRouter(Frontend):
             self._slot_events[worker.slot] = asyncio.Event()
             self._ring.add(worker.slot)
         self._worker_seq = self.n_workers
-        if self.keep_standby:
-            self._standby = await self._spawn("standby", checkpoint_dir=None)
+        self._standby = await self._spawn("standby", checkpoint_dir=None)
         await self._rebuild_routes(saved)
         for slot, worker in self._workers.items():
             self._monitors.append(asyncio.create_task(self._monitor_worker(slot, worker)))
@@ -515,6 +500,7 @@ class FleetRouter(Frontend):
 
     def emergency_kill(self) -> None:
         """SIGKILL every child (the last-resort cleanup on abnormal exit)."""
+        self._stopping = True  # disarm failover: these kills are no worker deaths
         for worker in list(self._workers.values()):
             worker.kill()
         if self._standby is not None:
@@ -540,10 +526,6 @@ class FleetRouter(Frontend):
             "--serve", "127.0.0.1:0",
             "--inbox-limit", str(self.inbox_limit),
         ]
-        if not self.batch:
-            argv.append("--no-batch")
-        if not self.lookahead:
-            argv.append("--no-lookahead")
         if self.batch_linger:
             argv += ["--batch-linger", str(self.batch_linger)]
         if checkpoint_dir is not None:
@@ -672,7 +654,7 @@ class FleetRouter(Frontend):
         finally:
             self._failing.discard(slot)
             self._slot_changed(slot)
-        if self.keep_standby and not self._stopping:
+        if not self._stopping:
             self._standby_task = asyncio.create_task(self._spawn_standby())
 
     # ------------------------------------------------------- slot waiting
@@ -772,6 +754,8 @@ class FleetRouter(Frontend):
     async def _checkpoint_timer(self) -> None:
         while True:
             await asyncio.sleep(self.checkpoint_interval)
+            if self._stopping:
+                return  # after an emergency kill, a tick would only write to dead links
             try:
                 await self._checkpoint_fleet()
             except asyncio.CancelledError:

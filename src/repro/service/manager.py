@@ -264,7 +264,8 @@ class SessionManager:
         Enable the deep-inbox block-scan drain.  ``False`` keeps every
         session in the one-row-per-sweep loop — again bit-identical, and
         again kept as a flag precisely so the differential tests and the
-        benchmarks can prove both claims.
+        benchmarks can prove both claims.  Both flags live here only: a
+        served manager (server, fleet worker, CLI) runs both lanes.
     restore:
         Checkpoint directory to rebuild a previously persisted manager
         from (see :meth:`checkpoint`).  Raises
@@ -302,7 +303,7 @@ class SessionManager:
         # The checkpoint directory's feed log (None until checkpoint/restore).
         self._log: _FeedLog | None = None
         if restore is not None:
-            self._restore(Path(restore))
+            self.restore_from(restore)
 
     # ----------------------------------------------------------- lifecycle
 
@@ -791,9 +792,6 @@ class SessionManager:
         self._replay_log()
         self.metrics.sessions_restored += len(self._sessions)
         return len(self._sessions)
-
-    def _restore(self, directory: Path) -> None:
-        self.restore_from(directory)
 
     def _use_directory(self, directory: Path) -> None:
         """Make ``directory`` the checkpoint directory, closing the old log."""

@@ -15,10 +15,10 @@ usable, mirroring how a coordinator survives a misbehaving node.
 
 JSONL is the default and the debug path.  A connection can upgrade to
 the length-prefixed binary framing of :mod:`repro.service.wire` via the
-``hello`` op (``{"op": "hello", "wire": "binary", "version": 1}``): after
-an accepting reply both sides switch to frames, feeds arrive as packed
-int64 row batches and are acknowledged with struct-packed replies — no
-``json.loads``/``json.dumps`` on the hot path.  Results are bit-identical
+``hello`` op (``{"op": "hello", "wire": "binary", "version": 2}``): after
+an accepting reply both sides switch to frames, feeds arrive as one
+session's packed int64 rows and are acknowledged with struct-packed
+replies — no ``json.loads``/``json.dumps`` on the hot path.  Results are bit-identical
 either way; the framing only changes how the bytes move.
 
 :meth:`ServingHandle.launch` runs a front door on a daemon thread with
@@ -39,7 +39,7 @@ from repro.service import wire
 
 __all__ = [
     "Forwarded", "Frontend", "LINE_LIMIT", "SHARED_OPS", "ServingHandle",
-    "encode_line", "new_event_loop", "session_field",
+    "encode_line", "session_field",
 ]
 
 #: Per-line read limit (a row of ~50k JSON-encoded int64s fits).
@@ -127,20 +127,17 @@ class Frontend:
         """Close the listener and every client connection, then cancel
         every other task still on the loop."""
         self._server.close()
-        await self._server.wait_closed()
+        # Clients first: from Python 3.12.1 on, wait_closed() also waits
+        # for every open connection, so a connected client would block it.
         for writer in list(self._writers):
             writer.close()
+        await self._server.wait_closed()
         # Unpark any query still waiting on a progress event (its client
         # connection is gone) so the loop can wind down without orphans.
         current = asyncio.current_task()
         for task in asyncio.all_tasks():
             if task is not current and not task.done():
                 task.cancel()
-
-    async def serve(self) -> None:
-        """``start`` + ``run_until_stopped`` in one call (the CLI entry)."""
-        await self.start()
-        await self.run_until_stopped()
 
     def request_stop(self) -> None:
         """Ask the front door to shut down (safe to call from a loop callback)."""
@@ -227,33 +224,28 @@ class Frontend:
     async def _feed_frame(self, payload: bytes) -> bytes:
         """Decode one packed feed frame, apply it, pre-encode the ack.
 
-        The hot path: ``np.frombuffer`` for the rows in, one ``feed`` op
-        per session, ``struct.pack`` for the ack out — no JSON.  Failures
-        reply with the same typed envelope (as a ``KIND_JSON`` frame) that
-        the JSONL path uses.
+        The hot path: ``np.frombuffer`` for the rows in, one ``feed`` op,
+        ``struct.pack`` for the ack out — no JSON.  A failure replies with
+        the same typed envelope (as a ``KIND_JSON`` frame) that the JSONL
+        path uses.
         """
         t0 = _clock()
         try:
-            batches, replay, trace = wire.decode_feed(payload)
+            [(session_id, rows)], replay, trace = wire.decode_feed(payload)
         except wire.FramePayloadError as exc:
             return wire.encode_json({"ok": False, "error": str(exc), "code": "bad_frame"})
         decode_seconds = _clock() - t0
-        acks = []
-        rows_total = 0
-        for session_id, rows in batches:
-            request: dict = {"op": "feed", "session": session_id, "rows": rows}
-            if trace is not None:
-                request["trace"] = trace
-            if replay:
-                request["replay"] = True
-            response, _ = await self._dispatch_request(request)
-            if not response.get("ok"):
-                return wire.encode_json(response)
-            rows_total += len(rows)
-            acks.append((int(response["pending"]), int(response["time"])))
+        request: dict = {"op": "feed", "session": session_id, "rows": rows}
+        if trace is not None:
+            request["trace"] = trace
+        if replay:
+            request["replay"] = True
+        response, _ = await self._dispatch_request(request)
+        if not response.get("ok"):
+            return wire.encode_json(response)
         t1 = _clock()
-        frame = wire.encode_ack(acks)
-        self.record_wire("binary", rows_total, decode_seconds + (_clock() - t1))
+        frame = wire.encode_ack([(int(response["pending"]), int(response["time"]))])
+        self.record_wire("binary", len(rows), decode_seconds + (_clock() - t1))
         return frame
 
     def record_wire(self, framing: str, rows: int, seconds: float) -> None:
@@ -322,22 +314,6 @@ class Frontend:
         return {**reply, **correlation}, False
 
 
-def new_event_loop() -> asyncio.AbstractEventLoop:
-    """A fresh event loop, on ``uvloop`` when it is importable.
-
-    ``uvloop`` is a pure accelerator, never a dependency: CI and the
-    baked toolchain run without it, and the stock asyncio loop is the
-    always-correct fallback.  Every serving entry point (``start_server``,
-    ``start_fleet``, ``python -m repro.service --serve``) builds its loop
-    here so adopting uvloop is one import away everywhere at once.
-    """
-    try:
-        import uvloop
-    except ImportError:
-        return asyncio.new_event_loop()
-    return uvloop.new_event_loop()
-
-
 class ServingHandle:
     """A front door running on a daemon thread with its own event loop.
 
@@ -372,7 +348,7 @@ class ServingHandle:
         state: dict = {}
 
         def _run() -> None:
-            loop = new_event_loop()
+            loop = asyncio.new_event_loop()
             asyncio.set_event_loop(loop)
             try:
                 frontend = build()

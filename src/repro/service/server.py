@@ -45,9 +45,9 @@ from pathlib import Path
 from repro.errors import ConfigurationError, ServiceError
 from repro.obs import OBS, RECORDER, obs_payload
 from repro.service.manager import DEFAULT_INBOX_LIMIT, DEFAULT_MAX_NODES, SessionManager
-from repro.service.protocol import Frontend, ServingHandle, new_event_loop, session_field
+from repro.service.protocol import Frontend, ServingHandle, session_field
 
-__all__ = ["ServiceServer", "ServerHandle", "new_event_loop", "start_server"]
+__all__ = ["ServiceServer", "ServerHandle", "start_server"]
 
 #: Feed-log size at which the stepper, on draining to idle, checkpoints to
 #: compact it.  This bounds a restart's replay (at n=16 with u16 bodies,
@@ -56,7 +56,10 @@ LOG_COMPACT_BYTES = 16 << 20
 
 
 class ServiceServer(Frontend):
-    """The session service: one listener, one manager, one stepper."""
+    """The session service: one listener, one manager, one stepper.
+
+    The stepper always runs both fast lanes, batched and lookahead.
+    """
 
     def __init__(
         self,
@@ -66,11 +69,9 @@ class ServiceServer(Frontend):
         manager: SessionManager | None = None,
         inbox_limit: int = DEFAULT_INBOX_LIMIT,
         max_nodes: int = DEFAULT_MAX_NODES,
-        batch: bool = True,
         batch_linger: float = 0.0,
         checkpoint_dir: "str | os.PathLike | None" = None,
         checkpoint_interval: float | None = None,
-        lookahead: bool = True,
     ):
         super().__init__(host, port, {
             "create": self._op_create,
@@ -105,8 +106,7 @@ class ServiceServer(Frontend):
             if self.checkpoint_dir is not None and (self.checkpoint_dir / "manager.json").exists():
                 restore = self.checkpoint_dir
             self.manager = SessionManager(
-                inbox_limit=inbox_limit, max_nodes=max_nodes, batch=batch,
-                lookahead=lookahead, restore=restore,
+                inbox_limit=inbox_limit, max_nodes=max_nodes, restore=restore
             )
         #: Seconds the stepper lingers after waking from idle before its
         #: first sweep, letting feeds from many connections pile into the
@@ -327,8 +327,9 @@ def start_server(host: str = "127.0.0.1", port: int = 0, **options) -> ServerHan
         Bind address; port 0 picks an ephemeral port (read it back from
         ``handle.address``).
     options:
-        Forwarded to :class:`ServiceServer` (``inbox_limit``, ``batch``,
-        ``checkpoint_dir``, ``manager``).
+        Forwarded to :class:`ServiceServer` (``manager``, ``inbox_limit``,
+        ``max_nodes``, ``batch_linger``, ``checkpoint_dir``,
+        ``checkpoint_interval``).
 
     Raises
     ------

@@ -23,25 +23,22 @@ Kinds:
     JSONL protocol.
 
 ``KIND_FEED`` (2)
-    A packed feed request.  Little-endian layout::
+    A packed feed request for one session.  Little-endian layout::
 
         flags (u8, bit0 = replay)
-        session count S (u8, 1..255)
-        S x [ id length (u16) | UTF-8 session id ]
+        id length (u16) | UTF-8 session id
         trace length (u16, 0 = none) | UTF-8 trace id
-        record count R (u32) | row width n (u32)
-        R x (2 + n) int64 records: (session_id_idx, seq, values...)
+        row count R (u32) | row width n (u32)
+        R x n int64 values, row-major
 
-    ``session_id_idx`` indexes the id table; ``seq`` is the sender's
-    0-based row index within the frame (advisory — exactly-once feeding
-    stays end-to-end, via ``time + 1 + pending`` acknowledgements).  The
-    record block is one contiguous int64 matrix, so the whole batch
-    decodes with a single ``np.frombuffer(...).reshape(R, n + 2)``.
+    The rows are one contiguous int64 matrix, so the whole batch decodes
+    with a single ``np.frombuffer(...).reshape(R, n)``.
 
 ``KIND_ACK`` (3)
     A packed feed reply: ``count (u8)`` then ``count x (pending i64,
-    time i64)`` pairs in session-table order — the pre-encoded reply
-    fast path (no ``json.dumps`` on the server's hot loop).
+    time i64)`` pairs — the pre-encoded reply fast path (no
+    ``json.dumps`` on the server's hot loop).  A server answers a packed
+    feed with one pair.
 
 Error containment mirrors the JSONL ``bad_json`` contract: a payload
 that fails to *decode* (:class:`FramePayloadError`) costs one error
@@ -51,14 +48,16 @@ unknown kind, or a declared length over :data:`FRAME_LIMIT`
 (:class:`FrameError`) — gets one ``bad_frame`` reply and the connection
 is closed, because the byte stream can no longer be trusted.  EOF
 mid-frame (:class:`FrameEOF`) closes silently, like a dropped JSONL
-connection.
+connection.  On the sending side, a request too large for any frame
+raises :class:`RequestTooLarge` before a byte is written, so its
+connection stays usable.
 
 Negotiation
 -----------
 Connections always start in JSONL.  A client that wants the binary mode
-sends ``{"op": "hello", "wire": "binary", "version": 1}`` as an ordinary
+sends ``{"op": "hello", "wire": "binary", "version": 2}`` as an ordinary
 JSONL line; the server answers ``{"ok": true, "wire": "binary",
-"version": 1}`` and *both* sides switch to frames for everything after
+"version": 2}`` and *both* sides switch to frames for everything after
 that reply.  Any other answer (an old server erroring on the unknown op,
 a version mismatch, ``"wire": "jsonl"``) leaves the connection JSONL —
 the client falls back transparently, which is also what makes reconnect
@@ -87,6 +86,7 @@ __all__ = [
     "KIND_FEED",
     "KIND_JSON",
     "MAGIC",
+    "RequestTooLarge",
     "WIRE_VERSION",
     "accepts_binary",
     "decode_ack",
@@ -101,6 +101,7 @@ __all__ = [
     "observe",
     "read_frame",
     "read_frame_blocking",
+    "request_json",
 ]
 
 #: First byte of every frame header — rejects stray JSONL bytes fast
@@ -123,7 +124,7 @@ HEADER_SIZE = _HEADER.size
 FRAME_LIMIT = 1 << 20
 
 #: Protocol version carried by the ``hello`` op; bump on layout changes.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 _U16 = struct.Struct("<H")
 _U32X2 = struct.Struct("<II")
@@ -144,6 +145,10 @@ class FramePayloadError(ServiceError):
 
 class FrameEOF(ServiceError):
     """The peer went away between or inside frames — close silently."""
+
+
+class RequestTooLarge(ServiceError):
+    """A request fits in no frame; nothing was sent — split the batch."""
 
 
 # Registry families for the wire level: rows moved and codec time spent,
@@ -206,59 +211,63 @@ def encode_json(obj: dict) -> bytes:
     return _HEADER.pack(MAGIC, KIND_JSON, len(payload)) + payload
 
 
-def encode_feed(batches, *, replay: bool = False, trace: str | None = None) -> bytes:
-    """Pack ``[(session_id, rows), ...]`` into one ``KIND_FEED`` frame.
+def request_json(payload: dict) -> bytes:
+    """The JSON body of a request frame or line, numpy batches as lists.
 
-    Every ``rows`` must be a non-empty 2-D integer batch of one common
-    width (the layout is a single int64 matrix).  Raises
-    :class:`ServiceError` for shapes the packed layout cannot express —
-    callers fall back to ``KIND_JSON`` so the server's validator answers
-    exactly as it would over JSONL.
+    Raises :class:`RequestTooLarge` past :data:`FRAME_LIMIT` (also the
+    JSONL line limit), before anything is sent.
     """
-    if not 1 <= len(batches) <= 255:
-        raise ServiceError(f"a feed frame carries 1..255 sessions, got {len(batches)}")
-    parts = []
-    width: int | None = None
-    total = 0
-    for idx, (session_id, rows) in enumerate(batches):
-        arr = np.asarray(rows)
-        if arr.ndim != 2 or arr.shape[0] == 0:
-            raise ServiceError(f"feed rows for {session_id!r} must be a non-empty 2-D batch")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ServiceError(f"feed rows for {session_id!r} must be integer-typed")
-        if width is None:
-            width = arr.shape[1]
-        elif arr.shape[1] != width:
-            raise ServiceError("all sessions in one feed frame must share a row width")
-        records = np.empty((arr.shape[0], arr.shape[1] + 2), dtype="<i8")
-        records[:, 0] = idx
-        records[:, 1] = np.arange(total, total + arr.shape[0])
-        records[:, 2:] = arr
-        parts.append(records)
-        total += arr.shape[0]
-    block = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    body = bytearray((1 if replay else 0, len(batches)))
-    for session_id, _ in batches:
-        encoded = str(session_id).encode()
-        body += _U16.pack(len(encoded)) + encoded
-    trace_bytes = (trace or "").encode()
-    body += _U16.pack(len(trace_bytes)) + trace_bytes
-    body += _U32X2.pack(total, width)
-    body += block.tobytes()
+    body = json.dumps(payload, separators=(",", ":"), default=_as_list).encode()
     if len(body) > FRAME_LIMIT:
-        raise ServiceError(
-            f"feed frame of {len(body)} bytes exceeds the {FRAME_LIMIT}-byte limit; "
-            "split the batch"
+        raise RequestTooLarge(
+            f"{payload.get('op')!r} request of {len(body)} JSON bytes exceeds the "
+            f"{FRAME_LIMIT}-byte limit; split the batch"
         )
-    return _HEADER.pack(MAGIC, KIND_FEED, len(body)) + bytes(body)
+    return body
+
+
+def _as_list(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def encode_feed(session_id, rows, *, replay: bool = False, trace: str | None = None) -> bytes:
+    """Pack one session's ``rows`` into one ``KIND_FEED`` frame.
+
+    ``rows`` must be a non-empty 2-D integer batch.  Raises
+    :class:`ServiceError` for shapes the packed layout cannot express and
+    :class:`RequestTooLarge` for a frame over :data:`FRAME_LIMIT`;
+    :func:`encode_request` answers both by falling back to ``KIND_JSON``.
+    """
+    block = np.asarray(rows)
+    if block.ndim != 2 or block.shape[0] == 0:
+        raise ServiceError(f"feed rows for {session_id!r} must be a non-empty 2-D batch")
+    if not np.issubdtype(block.dtype, np.integer):
+        raise ServiceError(f"feed rows for {session_id!r} must be integer-typed")
+    sid = str(session_id).encode()
+    tid = (trace or "").encode()
+    length = 5 + len(sid) + len(tid) + _U32X2.size + 8 * block.size  # flags, 2 x u16
+    if length > FRAME_LIMIT:
+        raise RequestTooLarge(
+            f"feed frame of {length} bytes exceeds the {FRAME_LIMIT}-byte limit"
+        )
+    return b"".join((
+        _HEADER.pack(MAGIC, KIND_FEED, length),
+        bytes((1 if replay else 0,)), _U16.pack(len(sid)), sid, _U16.pack(len(tid)), tid,
+        _U32X2.pack(*block.shape),
+        np.ascontiguousarray(block, dtype="<i8"),
+    ))
 
 
 def encode_request(payload: dict) -> bytes:
     """Encode one request dict: packed when it is a plain feed, JSON otherwise.
 
-    A feed whose rows the packed layout rejects (ragged, non-integer,
-    oversized) deliberately falls back to ``KIND_JSON`` so the server
-    answers with the same validation error as over JSONL.
+    A feed the packed layout cannot express (ragged or non-integer rows,
+    an id over 65535 bytes, an unknown field) or fit in one frame falls
+    back to ``KIND_JSON``, so the server answers with the same validation
+    error as over JSONL.  Raises :class:`RequestTooLarge` if the JSON
+    frame does not fit either.
     """
     rows = payload.get("rows")
     if (
@@ -270,13 +279,13 @@ def encode_request(payload: dict) -> bytes:
         rows = [payload["row"]] if "row" in payload else rows
         try:
             return encode_feed(
-                [(payload["session"], rows)],
-                replay=bool(payload.get("replay")),
-                trace=payload.get("trace"),
+                payload["session"], rows,
+                replay=bool(payload.get("replay")), trace=payload.get("trace"),
             )
-        except (ServiceError, TypeError, ValueError, KeyError, OverflowError):
+        except (ServiceError, TypeError, ValueError, KeyError, OverflowError, struct.error):
             pass
-    return encode_json(payload)
+    body = request_json(payload)
+    return _HEADER.pack(MAGIC, KIND_JSON, len(body)) + body
 
 
 def encode_ack(acks) -> bytes:
@@ -291,52 +300,33 @@ def encode_ack(acks) -> bytes:
 def decode_feed(payload: bytes) -> tuple[list, bool, "str | None"]:
     """Unpack a ``KIND_FEED`` payload.
 
-    Returns ``(batches, replay, trace)`` with ``batches`` a list of
-    ``(session_id, rows)`` pairs, each ``rows`` a fresh contiguous
-    ``(R_i, n)`` int64 array in record order.
+    Returns ``(batches, replay, trace)`` with ``batches`` the one pair
+    ``[(session_id, rows)]``, ``rows`` a fresh ``(R, n)`` int64 array.  It
+    is copied out of ``payload`` because a view would be misaligned
+    whenever the id and trace lengths put the rows off an 8-byte boundary,
+    which slows every numpy pass over the block.
     """
     try:
-        if len(payload) < 2:
-            raise ValueError("feed payload shorter than its fixed header")
-        replay = bool(payload[0] & 1)
-        count = payload[1]
-        if count < 1:
-            raise ValueError("feed frame with zero sessions")
-        offset = 2
-        ids = []
-        for _ in range(count):
-            (id_len,) = _U16.unpack_from(payload, offset)
-            offset += 2
-            ids.append(payload[offset:offset + id_len].decode())
-            offset += id_len
+        (id_len,) = _U16.unpack_from(payload, 1)
+        offset = 3 + id_len
+        session_id = payload[3:offset].decode()
         (trace_len,) = _U16.unpack_from(payload, offset)
         offset += 2
         trace = payload[offset:offset + trace_len].decode() or None
         offset += trace_len
-        rows_total, width = _U32X2.unpack_from(payload, offset)
+        count, width = _U32X2.unpack_from(payload, offset)
         offset += _U32X2.size
-        expected = rows_total * (width + 2) * 8
+        expected = count * width * 8
         if len(payload) - offset != expected:
             raise ValueError(
-                f"feed record block is {len(payload) - offset} bytes, expected {expected}"
+                f"feed row block is {len(payload) - offset} bytes, expected {expected}"
             )
-        records = np.frombuffer(
-            payload, dtype="<i8", count=rows_total * (width + 2), offset=offset
-        ).reshape(rows_total, width + 2)
+        rows = np.frombuffer(
+            payload, dtype="<i8", count=count * width, offset=offset
+        ).reshape(count, width).copy()
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
         raise FramePayloadError(f"malformed feed frame: {exc}") from exc
-    batches = []
-    if count == 1:
-        batches.append((ids[0], np.ascontiguousarray(records[:, 2:])))
-        return batches, replay, trace
-    owners = records[:, 0]
-    if owners.size and not ((owners >= 0) & (owners < count)).all():
-        raise FramePayloadError("feed record names a session index outside the id table")
-    for idx, session_id in enumerate(ids):
-        rows = np.ascontiguousarray(records[owners == idx, 2:])
-        if rows.shape[0]:
-            batches.append((session_id, rows))
-    return batches, replay, trace
+    return [(session_id, rows)], bool(payload[0] & 1), trace
 
 
 def decode_ack(payload: bytes) -> list:

@@ -18,8 +18,11 @@ rests on.
 
 from __future__ import annotations
 
+import asyncio
+import logging
 import os
 import signal
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
@@ -473,6 +476,63 @@ class TestFleetFailover:
                 assert remote["topk"] == list(view.topk), sid
                 assert remote["messages"] == view.message_count, sid
             client.close()
+
+
+def _service_children() -> set:
+    """Pids of this process's live children running ``repro.service``."""
+    found = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as fh:
+                ppid = int(fh.read().rsplit(b")", 1)[1].split()[1])
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                cmdline = fh.read()
+        except (OSError, IndexError, ValueError):
+            continue  # exited while we looked
+        if ppid == os.getpid() and b"repro.service" in cmdline:
+            found.add(int(entry))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists child processes through /proc")
+class TestFleetShutdown:
+    def test_wedged_shutdown_leaves_no_worker_running(self, monkeypatch, caplog):
+        """A router whose shutdown outlives ``close()`` has its children
+        SIGKILLed, and they stay dead: no monitor takes the kills for
+        worker deaths and respawns them, and no checkpoint tick writes
+        to their dead links."""
+        release = threading.Event()
+        run_until_stopped = fleet_module.FleetRouter.run_until_stopped
+
+        async def wedged(router):
+            await router._stopped.wait()
+            while not release.is_set():
+                await asyncio.sleep(0.05)
+            await run_until_stopped(router)
+
+        monkeypatch.setattr(fleet_module.FleetRouter, "run_until_stopped", wedged)
+        monkeypatch.setattr(fleet_module.FleetHandle, "join_timeout", 2.0)
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        before = _service_children()  # e.g. a module-scoped fleet's workers
+        fleet = start_fleet(workers=2, checkpoint_interval=0.1)
+        try:
+            with ServiceClient(fleet.address) as client:
+                client.create_session(n=N, k=K, seed=1).feed_rows(
+                    np.arange(4 * N, dtype=np.int64).reshape(4, N)
+                )
+            assert len(_service_children() - before) == 3  # two workers + standby
+            fleet.close()
+            time.sleep(3.0)  # time enough for a failover to respawn a worker
+            assert _service_children() - before == set()
+            assert not [
+                record for record in caplog.records
+                if "socket.send() raised exception" in record.getMessage()
+            ]
+        finally:
+            release.set()
+            fleet.close()
 
 
 class TestFleetBinaryWire:

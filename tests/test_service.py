@@ -1176,18 +1176,14 @@ class TestWireCodec:
     def test_feed_frame_round_trip(self):
         from repro.service import wire
 
-        rows_a = np.arange(12, dtype=np.int64).reshape(3, 4)
-        rows_b = (np.arange(8, dtype=np.int64) * 7).reshape(2, 4)
-        frame = wire.encode_feed(
-            [("alpha", rows_a), ("beta", rows_b)], replay=True, trace="tr-1"
-        )
+        rows = np.arange(12, dtype=np.int64).reshape(3, 4)
+        frame = wire.encode_feed("alpha", rows, replay=True, trace="tr-1")
         kind, payload = wire.read_frame_blocking(_BytesStream(frame))
         assert kind == wire.KIND_FEED
         batches, replay, trace = wire.decode_feed(payload)
         assert replay is True and trace == "tr-1"
-        assert [sid for sid, _ in batches] == ["alpha", "beta"]
-        np.testing.assert_array_equal(batches[0][1], rows_a)
-        np.testing.assert_array_equal(batches[1][1], rows_b)
+        assert [sid for sid, _ in batches] == ["alpha"]
+        np.testing.assert_array_equal(batches[0][1], rows)
 
     def test_ack_frame_round_trip(self):
         from repro.service import wire
@@ -1209,8 +1205,9 @@ class TestWireCodec:
         assert _json.loads(payload) == obj
 
     def test_inexpressible_feed_falls_back_to_json(self):
-        """Floats, ragged rows, >255 sessions: encode_request must fall
-        back to KIND_JSON so server-side validation answers identically."""
+        """Floats, ragged rows, empty rows, unknown fields: encode_request
+        must fall back to KIND_JSON so server-side validation answers
+        identically."""
         from repro.service import wire
 
         for payload in (
@@ -1218,6 +1215,7 @@ class TestWireCodec:
             {"op": "feed", "session": "s", "rows": [[1, 2], [3]]},
             {"op": "feed", "session": "s", "rows": []},
             {"op": "feed", "session": "s", "rows": [[1, 2]], "extra": 1},
+            {"op": "feed", "session": "s" * 70000, "rows": [[1, 2]]},
         ):
             frame = wire.encode_request(payload)
             kind = frame[1]

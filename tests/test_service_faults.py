@@ -157,7 +157,8 @@ class TestGarbageFramesOnFleet(TestGarbageFrames):
 def _binary_handshake(sock):
     """Negotiate binary framing on a raw socket; returns the rw file."""
     fh = sock.makefile("rwb")
-    fh.write((json.dumps({"op": "hello", "wire": "binary", "version": 1}) + "\n").encode())
+    hello = {"op": "hello", "wire": "binary", "version": wire.WIRE_VERSION}
+    fh.write((json.dumps(hello) + "\n").encode())
     fh.flush()
     reply = json.loads(fh.readline())
     assert reply["ok"] is True and reply["wire"] == "binary"
@@ -219,18 +220,24 @@ class TestBinaryFraming:
     def test_garbage_payload_in_valid_frame_survives_the_connection(self, front):
         """A well-framed undecodable feed mirrors bad_json: one error
         reply, same connection keeps serving."""
+        # Declares R=2, n=4 (64 bytes of rows) but carries one row.
+        short_rows = b"\x00" + struct.pack("<H", 2) + b"s1" + struct.pack("<HII", 0, 2, 4)
+        short_rows += np.arange(4, dtype="<i8").tobytes()
         with socket.create_connection(tuple(front.address), timeout=10) as sock:
             fh = _binary_handshake(sock)
-            junk = b"\x01\x02\x03"  # too short for any feed layout
-            fh.write(_header(wire.KIND_FEED, len(junk)) + junk)
-            fh.flush()
-            kind, payload = wire.read_frame_blocking(fh)
-            reply = wire.decode_reply(kind, payload)
-            assert reply["ok"] is False and reply["code"] == "bad_frame"
-            fh.write(wire.encode_json({"op": "ping"}))
-            fh.flush()
-            kind, payload = wire.read_frame_blocking(fh)
-            assert wire.decode_reply(kind, payload)["ok"] is True
+            for junk in (
+                b"\x01\x02\x03",  # too short for any feed layout
+                short_rows,
+            ):
+                fh.write(_header(wire.KIND_FEED, len(junk)) + junk)
+                fh.flush()
+                kind, payload = wire.read_frame_blocking(fh)
+                reply = wire.decode_reply(kind, payload)
+                assert reply["ok"] is False and reply["code"] == "bad_frame"
+                fh.write(wire.encode_json({"op": "ping"}))
+                fh.flush()
+                kind, payload = wire.read_frame_blocking(fh)
+                assert wire.decode_reply(kind, payload)["ok"] is True
 
     def test_mid_frame_disconnect_contained(self, front):
         with socket.create_connection(tuple(front.address), timeout=10) as sock:
@@ -260,13 +267,15 @@ class TestBinaryFraming:
         assert final["messages"] == offline.total_messages
         assert final["time"] == STEPS - 1
 
-    def test_unknown_wire_version_degrades_to_jsonl(self, front):
+    @pytest.mark.parametrize("version", [1, 999])
+    def test_unknown_wire_version_degrades_to_jsonl(self, front, version):
         """Asking for a version the server doesn't speak answers
         ``wire="jsonl"`` and the connection stays line-framed — the
-        forward-compatibility half of the negotiation contract."""
+        forward-compatibility half of the negotiation contract.  Version 1
+        is the retired multi-session packed feed."""
         with socket.create_connection(tuple(front.address), timeout=10) as sock:
             fh = sock.makefile("rwb")
-            hello = {"op": "hello", "wire": "binary", "version": 999}
+            hello = {"op": "hello", "wire": "binary", "version": version}
             fh.write((json.dumps(hello) + "\n").encode())
             fh.flush()
             reply = json.loads(fh.readline())
@@ -283,6 +292,49 @@ class TestBinaryFramingOnFleet(TestBinaryFraming):
     @pytest.fixture
     def front(self, fleet):
         return fleet
+
+
+@pytest.mark.parametrize("framing", ["jsonl", "binary"])
+class TestOversizedFeed:
+    """A batch too large for one packed frame: JSON carries it when that
+    fits, and a request no frame can hold is refused before any byte is
+    sent, so the connection stays usable."""
+
+    def test_batch_over_the_packed_limit_rides_json(self, framing):
+        rows = np.random.default_rng(5).integers(0, 10, size=(1100, 128))
+        with start_server(inbox_limit=2048) as server:
+            with ServiceClient(server.address, wire=framing) as client:
+                session = client.create_session(n=128, k=3, seed=1)
+                session.feed_rows(rows)
+                assert session.query(wait=True)["time"] == 1099
+
+    def test_request_no_frame_can_hold_is_refused_before_sending(self, framing):
+        rows = np.random.default_rng(6).integers(2**61, 2**62, size=(3000, 128))
+        with start_server(inbox_limit=4096) as server:
+            with ServiceClient(server.address, wire=framing) as client:
+                session = client.create_session(n=128, k=3, seed=1)
+                with pytest.raises(wire.RequestTooLarge):
+                    session.feed_rows(rows)
+                assert client.ping()
+                view = session.query()
+                assert (view["time"], view["pending"]) == (-1, 0)
+
+
+class TestCloseWithClientConnected:
+    def test_close_returns_while_a_raw_client_stays_connected(self):
+        """Shutdown closes client connections itself instead of waiting
+        for them; from Python 3.12.1 on, ``Server.wait_closed()`` waits
+        for every open connection."""
+        server = start_server()
+        with socket.create_connection(tuple(server.address), timeout=10) as sock:
+            fh = sock.makefile("rwb")
+            fh.write(b'{"op": "ping"}\n')
+            fh.flush()
+            assert json.loads(fh.readline())["ok"] is True
+            start = time.monotonic()
+            server.close()
+            assert time.monotonic() - start < server.join_timeout / 2
+            assert fh.readline() == b""  # the server hung up on us
 
 
 class TestConnectRetry:
