@@ -31,17 +31,22 @@ worker's checkpoint directory, log included, via the ``restore`` wire op
 and adopts the directory.  A failover therefore loses *zero* acknowledged
 rows and *zero* sessions without any client-side involvement.
 
-Connection loss to a worker is treated as worker death (the workers are
-local children; their sockets only break when the process does).  A feed
-whose reply was lost waits for the failover, asks the replacement how
-many rows the session holds (``time + 1 + pending``), and resends only
-the rows it lacks, as a ``replay`` carrying the push's trace id.  That is
-exactly once: the session's lock keeps the count from moving meanwhile.
+Every request the router makes while it serves goes through one
+exchange, :meth:`FleetRouter._exchange`, over a pool of binary links to
+each worker.  Connection loss to a worker is treated as worker death (the
+workers are local children; their sockets only break when the process
+does): the exchange waits for the failover, then lets the op say what
+its lost request did.  A feed asks the replacement how many rows the
+session holds (``time + 1 + pending``) and resends only the rows it
+lacks, as a ``replay`` carrying the push's trace id.  That is exactly
+once: the session's lock keeps the count from moving meanwhile.
 
 Rebalancing uses the same checkpoint codec live: ``export`` detaches a
 session (state + pending inbox) from one worker and ``import`` re-hosts
 it on another, bit-identically (:meth:`FleetRouter.add_worker` /
-:meth:`FleetRouter.remove_worker`).
+:meth:`FleetRouter.remove_worker`).  The router holds the exported
+payload until the import is acknowledged, so a move survives the death
+of either worker unless the source dies after detaching the session.
 
 Fault-layer composition: ``FleetRouter(fault_plan=plan)`` interprets the
 PR-6 :class:`~repro.faults.plan.CrashWindow` schedule against the fleet —
@@ -91,7 +96,6 @@ from repro.service.protocol import (
     Forwarded,
     Frontend,
     ServingHandle,
-    encode_line,
     session_field,
 )
 
@@ -117,15 +121,19 @@ GROUP_SHARDS = 16
 #: Seconds between router-driven fan-out checkpoints.
 DEFAULT_CHECKPOINT_INTERVAL = 0.5
 
-#: Seconds one exchange on a worker's shared link may take.  A worker that
-#: has not answered by then is presumed hung (stopped, deadlocked): it is
-#: SIGKILLed, so its monitor fails it over like any other dead worker,
-#: instead of stalling every fan-out over the workers behind it.  Far
-#: above any exchange a live worker makes; parked ``wait`` queries use
-#: ``fresh_request`` and have no deadline.
+#: Seconds one exchange with a worker may take, opening its link included.
+#: A worker that has not answered by then is presumed hung (stopped,
+#: deadlocked): it is SIGKILLed, so its monitor fails it over like any
+#: other dead worker, instead of stalling every fan-out over the workers
+#: behind it.  Far above any exchange a live worker makes; parked ``wait``
+#: queries hold their own pooled link and have no deadline.
 WORKER_REQUEST_TIMEOUT = 30.0
 
-#: Router-side routing-table filename inside the fleet checkpoint root.
+#: Idle links the router keeps open to each worker.  A request that finds
+#: none opens another, so this bounds only what stays open between bursts.
+IDLE_LINKS = 4
+
+#: Router state filename inside the fleet checkpoint root.
 _ROUTES_FILE = "router.json"
 
 _ROUTES_SCHEMA = 1
@@ -263,96 +271,96 @@ class _SessionRoute:
 
 
 class _WorkerProc:
-    """One worker child process plus the router's connection to it.
+    """One worker child process plus the router's pool of links to it.
 
-    The shared connection speaks the binary framing of
-    :mod:`repro.service.wire`, negotiated at spawn; throwaway
-    ``fresh_request`` connections stay JSONL — they carry one parked
-    query each, where negotiation would cost more than it saves.
+    Every link speaks the binary framing of :mod:`repro.service.wire`,
+    negotiated when it opens.  A request borrows an idle link or opens a
+    new one and gives it back after a complete reply, so requests to one
+    worker never queue behind each other; a parked ``wait`` query simply
+    holds its link until it answers.
     """
 
-    def __init__(self, slot, proc, address, checkpoint_dir, reader, writer, log):
+    def __init__(self, slot, proc, address, checkpoint_dir, log):
         self.slot = slot
         self.proc = proc
         self.address = address
         self.checkpoint_dir: Path | None = checkpoint_dir
-        self._reader = reader
-        self._writer = writer
-        self._lock = asyncio.Lock()
         self.log = log  # bounded deque of the child's recent output lines
-        self.retired = False  # intentional stop: monitor must not fail over
+        # Stopped or failed over: its monitor must not fail it over, and
+        # no link to it is kept.
+        self.retired = False
         self.drain_task: asyncio.Task | None = None
+        self._idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
 
     @property
     def pid(self) -> int:
         return self.proc.pid
 
     async def request(self, payload: dict) -> dict:
-        """One round trip on the shared connection (serialized).
+        """One round trip on a pooled link.
 
         Returns the parsed reply — including ``ok: false`` replies, which
         the caller forwards or maps; only *transport* failure raises
         (:class:`_WorkerLost`), because that is the worker-death signal.
         A worker silent past :data:`WORKER_REQUEST_TIMEOUT` is killed and
-        counts as lost too.
+        counts as lost too, except under a ``wait`` query, which parks
+        worker-side until its session drains.
         """
-        async with self._lock:
-            try:
-                return await asyncio.wait_for(self._exchange(payload), WORKER_REQUEST_TIMEOUT)
-            except asyncio.TimeoutError:
-                self.kill()
-                raise _WorkerLost(
-                    f"worker {self.slot} did not answer within "
-                    f"{WORKER_REQUEST_TIMEOUT:g} s; killed it"
-                ) from None
-            except (_wire.FrameEOF, _wire.FrameError, _wire.FramePayloadError) as exc:
-                # The workers are local children: a broken or truncated
-                # frame on the shared link means the process died mid-write.
-                raise _WorkerLost(f"worker {self.slot} connection lost: {exc}") from exc
-            except (ConnectionError, OSError) as exc:
-                raise _WorkerLost(f"worker {self.slot} connection lost: {exc}") from exc
-
-    async def _exchange(self, payload: dict) -> dict:
-        self._writer.write(_wire.encode_request(payload))
-        await self._writer.drain()
-        kind, body = await _wire.read_frame(self._reader)
-        return _wire.decode_reply(kind, body)
-
-    async def fresh_request(self, payload: dict) -> dict:
-        """One round trip on a throwaway connection.
-
-        For ``wait=True`` queries, which park server-side until the
-        session drains — parking the *shared* connection would stall every
-        other request to this worker behind one slow waiter.
-        """
+        frame = _wire.encode_request(payload)
+        timeout = None if payload.get("wait") else WORKER_REQUEST_TIMEOUT
         try:
-            reader, writer = await asyncio.open_connection(*self.address, limit=LINE_LIMIT)
-        except (ConnectionError, OSError) as exc:
-            raise _WorkerLost(f"worker {self.slot} unreachable: {exc}") from exc
-        try:
-            writer.write(encode_line(payload))
-            await writer.drain()
-            line = await reader.readline()
-            if not line:
-                raise _WorkerLost(f"worker {self.slot} closed its connection")
-            return json.loads(line)  # reprolint: disable=R4 — one-shot JSONL link
-        except (ConnectionError, OSError) as exc:
+            return await asyncio.wait_for(self._round_trip(frame), timeout)
+        except asyncio.TimeoutError:
+            self.kill()
+            raise _WorkerLost(
+                f"worker {self.slot} did not answer within {timeout:g} s; killed it"
+            ) from None
+        except (_wire.FrameEOF, _wire.FrameError, _wire.FramePayloadError,
+                ConnectionError, OSError) as exc:
+            # The workers are local children: a refused connection, a
+            # broken link or a truncated frame means the process died.
             raise _WorkerLost(f"worker {self.slot} connection lost: {exc}") from exc
-        finally:
+
+    async def _round_trip(self, frame: bytes) -> dict:
+        fresh = not self._idle
+        if fresh:
+            reader, writer = await asyncio.open_connection(*self.address, limit=LINE_LIMIT)
+        else:
+            reader, writer = self._idle.pop()
+        try:
+            # The router-worker link is internal and every worker runs this
+            # code, so it is binary-only: a refusal means a broken worker.
+            if fresh and await _wire.negotiate(reader, writer) != "binary":
+                raise ServiceError(f"fleet worker {self.slot} refused the binary wire")
+            writer.write(frame)
+            await writer.drain()
+            kind, body = await _wire.read_frame(reader)
+            reply = _wire.decode_reply(kind, body)
+        except BaseException:
+            # Cancelled or broken mid-exchange: a reply may still be on
+            # its way, so the link can never carry another request.
             writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+            raise
+        if self.retired or len(self._idle) >= IDLE_LINKS:
+            writer.close()
+        else:
+            self._idle.append((reader, writer))
+        return reply
 
     def kill(self) -> None:
         """SIGKILL the child (idempotent)."""
         with contextlib.suppress(ProcessLookupError):
             self.proc.kill()
 
-    def close_connection(self) -> None:
+    def let_go(self) -> None:
+        """Retire the worker: close its idle links now and each busy one as
+        it finishes, and stop draining its output."""
+        self.retired = True
         if self.drain_task is not None:
             self.drain_task.cancel()
-        with contextlib.suppress(Exception):
-            self._writer.close()
+        for _, writer in self._idle:
+            writer.close()
+        self._idle.clear()
 
 
 async def _drain_stdout(proc, log) -> None:
@@ -442,7 +450,8 @@ class FleetRouter(Frontend):
         self._failing: set[str] = set()
         self._slot_events: dict[str, asyncio.Event] = {}
         self._failovers = 0
-        self._failover_latencies: list[float] = []
+        self._failover_seconds = 0.0  # total, over self._failovers
+        self._failover_seconds_max = 0.0
         self._rows_replayed = 0
         self._inflight_rows = 0
         self._stopping = False
@@ -458,7 +467,7 @@ class FleetRouter(Frontend):
         self._stopped = asyncio.Event()
         self._root = self._given_root or Path(tempfile.mkdtemp(prefix="repro-fleet-"))
         self._root.mkdir(parents=True, exist_ok=True)
-        saved = self._load_routes()
+        self._load_next_id()
         spawned = await asyncio.gather(
             *(self._spawn(f"w{i}", checkpoint_dir=self._root / f"w{i}")
               for i in range(self.n_workers))
@@ -469,9 +478,12 @@ class FleetRouter(Frontend):
             self._ring.add(worker.slot)
         self._worker_seq = self.n_workers
         self._standby = await self._spawn("standby", checkpoint_dir=None)
-        await self._rebuild_routes(saved)
+        await self._rebuild_routes()
         for slot, worker in self._workers.items():
             self._monitors.append(asyncio.create_task(self._monitor_worker(slot, worker)))
+        # If the worker count changed across a restart, sessions whose ring
+        # owner moved migrate to it now, with failover already armed.
+        await self._rebalance()
         await self._listen()
         if self.checkpoint_interval is not None:
             self._timer_task = asyncio.create_task(self._checkpoint_timer())
@@ -489,7 +501,7 @@ class FleetRouter(Frontend):
                 task.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
                     await task
-        self._persist_routes()
+        self._save_next_id()
         stops = [self._stop_worker(w) for w in self._workers.values()]
         if self._standby is not None:
             stops.append(self._stop_worker(self._standby))
@@ -515,7 +527,7 @@ class FleetRouter(Frontend):
         except asyncio.TimeoutError:
             worker.kill()
             await worker.proc.wait()
-        worker.close_connection()
+        worker.let_go()
 
     # ----------------------------------------------------------- spawning
 
@@ -558,16 +570,14 @@ class FleetRouter(Frontend):
                 if text.startswith("listening on "):
                     host, _, port = text.removeprefix("listening on ").rpartition(":")
                     address = (host, int(port))
-            reader, writer = await asyncio.open_connection(*address, limit=LINE_LIMIT)
-            # The router-worker link is internal and every worker runs this
-            # code, so it is binary-only: a refusal means a broken worker.
-            if await _wire.negotiate(reader, writer) != "binary":
-                raise ServiceError(f"fleet worker {slot} refused the binary wire")
+            worker = _WorkerProc(slot, proc, address, checkpoint_dir, log)
+            # Open the pool's first link now: a worker that cannot speak
+            # the binary wire fails its spawn, not a client's request.
+            await worker.request({"op": "ping"})
         except BaseException:
             with contextlib.suppress(ProcessLookupError):
                 proc.kill()
             raise
-        worker = _WorkerProc(slot, proc, address, checkpoint_dir, reader, writer, log)
         worker.drain_task = asyncio.create_task(_drain_stdout(proc, log))
         return worker
 
@@ -581,6 +591,7 @@ class FleetRouter(Frontend):
             return
         if self._stopping:
             worker.kill()
+            worker.let_go()
             return
         self._standby = worker
 
@@ -590,7 +601,7 @@ class FleetRouter(Frontend):
         if standby is not None:
             if standby.proc.returncode is None:
                 return standby
-            standby.retired = True  # died while idle; replace it
+            standby.let_go()  # died while idle; replace it
         return await self._spawn("standby", checkpoint_dir=None)
 
     # ----------------------------------------------------------- failover
@@ -617,7 +628,7 @@ class FleetRouter(Frontend):
             return  # already replaced (e.g. a stale monitor)
         t0 = _obs_clock()
         self._failing.add(slot)
-        dead.close_connection()
+        dead.let_go()
         try:
             print(f"fleet: worker {slot} (pid {dead.pid}) died; promoting standby",
                   file=sys.stderr, flush=True)
@@ -638,7 +649,8 @@ class FleetRouter(Frontend):
             )
             elapsed = _obs_clock() - t0
             self._failovers += 1
-            self._failover_latencies.append(elapsed)
+            self._failover_seconds += elapsed
+            self._failover_seconds_max = max(self._failover_seconds_max, elapsed)
             if OBS.on:
                 _OBS_FAILOVERS.inc()
                 _OBS_FAILOVER_SECONDS.observe(elapsed)
@@ -657,7 +669,7 @@ class FleetRouter(Frontend):
         if not self._stopping:
             self._standby_task = asyncio.create_task(self._spawn_standby())
 
-    # ------------------------------------------------------- slot waiting
+    # ---------------------------------------------------------- exchange
 
     def _slot_changed(self, slot: str) -> None:
         """Wake everyone parked on this slot (its worker changed state)."""
@@ -666,63 +678,94 @@ class FleetRouter(Frontend):
             self._slot_events[slot] = asyncio.Event()
             event.set()
 
-    async def _slot_ready(self, slot: str) -> None:
-        """Park while the slot is mid-failover."""
-        while slot in self._failing:
-            await self._slot_events[slot].wait()
+    async def _exchange(self, where: "str | _SessionRoute", message: dict,
+                        recover=None) -> dict:
+        """Send ``message`` to a slot's worker, across any failover.
 
-    async def _wait_replaced(self, slot: str, worker: _WorkerProc) -> None:
-        """Park until ``worker`` is no longer the slot's live process.
-
-        Connection loss to a local child means the process died; the
-        monitor task notices via ``proc.wait()`` and runs the failover,
-        whose completion flips the slot event.
+        ``where`` is a slot name, or a session's route (its slot is read
+        afresh on each try).  Returns the worker's reply, ``ok: false`` ones
+        included.  When the worker dies with the request unanswered, this
+        parks until the slot's replacement is up; then ``recover(worker)``
+        returns the reply the lost request earned, or ``None`` to send
+        ``message`` again, which is all that happens without ``recover``.
+        A death during ``recover`` is handled like the first.
         """
-        while self._workers.get(slot) is worker or slot in self._failing:
-            await self._slot_events[slot].wait()
+        lost: _WorkerProc | None = None
+        while True:
+            slot = where if isinstance(where, str) else where.slot
+            # Connection loss to a local child means the process died; its
+            # monitor notices via ``proc.wait()`` and runs the failover,
+            # whose completion flips the slot event.
+            while slot in self._failing or (
+                lost is not None and self._workers.get(slot) is lost
+            ):
+                await self._slot_events[slot].wait()
+            worker = self._workers[slot]
+            try:
+                if lost is not None and recover is not None:
+                    reply = await recover(worker)
+                    if reply is not None:
+                        return reply
+                return await worker.request(message)
+            except _WorkerLost:
+                lost = worker
 
-    # ------------------------------------------------- routes persistence
+    async def _fan_out(self, message: dict) -> dict:
+        """``{slot: reply}`` of every live worker that answers ``message`` ok.
 
-    def _persist_routes(self) -> None:
-        """Write the routing table next to the worker checkpoint dirs.
-
-        The workers' checkpoints hold the session *state*; this file holds
-        what only the router knows — each session's batch group and the id
-        counter — so a restarted router re-adopts the whole fleet.
+        A slot mid-failover, or a worker lost under the request, is
+        skipped: its monitor is (about to be) on it.
         """
-        if self._root is None:
-            return
+        replies = {}
+        for slot in self._ordered_slots():
+            worker = self._workers.get(slot)
+            if worker is None or slot in self._failing:
+                continue
+            try:
+                reply = await worker.request(message)
+            except _WorkerLost:
+                continue
+            if reply.get("ok"):
+                replies[slot] = reply
+        return replies
+
+    # ------------------------------------------------------- router state
+
+    def _save_next_id(self) -> None:
+        """Write the session-id counter next to the worker checkpoint dirs.
+
+        The workers' checkpoints hold every session, and each session's
+        group follows from its shape; the counter is all that only the
+        router knows, so a restarted router never hands out an id twice.
+        """
         _atomic_write(
             self._root / _ROUTES_FILE,
-            {
-                "schema": _ROUTES_SCHEMA,
-                "next_id": self._next_id,
-                "sessions": {sid: route.group for sid, route in self._sessions.items()},
-            },
+            {"schema": _ROUTES_SCHEMA, "next_id": self._next_id},
         )
 
-    def _load_routes(self) -> dict:
-        """Saved ``{session_id: group}`` from a previous run (may be empty)."""
+    def _load_next_id(self) -> None:
+        """Resume the id counter of a previous run, if there was one.
+
+        A file from an earlier release also maps each session to its
+        group; the map is ignored, since the groups are recomputed.
+        """
         path = self._root / _ROUTES_FILE
         if not path.exists():
-            return {}
+            return
         data = json.loads(path.read_text())
         if data.get("schema") != _ROUTES_SCHEMA:
             raise ConfigurationError(
                 f"unsupported fleet routing-table schema {data.get('schema')!r} at {path}"
             )
         self._next_id = int(data["next_id"])
-        return dict(data["sessions"])
 
-    async def _rebuild_routes(self, saved_groups: dict) -> None:
+    async def _rebuild_routes(self) -> None:
         """Re-adopt sessions the workers restored from their checkpoints.
 
-        Each worker reports what it hosts; groups come from the saved
-        routing table (or are recomputed from the session's shape).  If
-        the worker count changed across the restart, sessions whose ring
-        owner moved are live-migrated to it.
+        Each worker reports what it hosts, and each session's group is
+        recomputed from its shape.
         """
-        found: list[tuple[str, str, _SessionRoute]] = []
+        found: list[tuple[str, _SessionRoute]] = []
         for slot, worker in self._workers.items():
             reply = await worker.request({"op": "sessions"})
             if not reply.get("ok"):
@@ -733,21 +776,15 @@ class FleetRouter(Frontend):
                     raise ServiceError(
                         f"worker {slot} query of restored session {session_id} failed"
                     )
-                group = saved_groups.get(session_id) or batch_group(
-                    view["n"], view["k"], session_id
-                )
-                route = _SessionRoute(group, slot, received=_received(view))
-                found.append((session_id, slot, route))
+                group = batch_group(view["n"], view["k"], session_id)
+                found.append((session_id, _SessionRoute(group, slot, received=_received(view))))
         # Stable adoption order: numeric for router-assigned ids, then name.
         def _order(item):
             sid = item[0]
             num = int(sid[1:]) if sid[1:].isdigit() and sid.startswith("s") else None
             return (0, num) if num is not None else (1, sid)
-        for session_id, _, route in sorted(found, key=_order):
+        for session_id, route in sorted(found, key=_order):
             self._sessions[session_id] = route
-        if found:
-            await self._rebalance()
-            self._persist_routes()
 
     # ------------------------------------------------- periodic checkpoint
 
@@ -767,16 +804,8 @@ class FleetRouter(Frontend):
 
     async def _checkpoint_fleet(self) -> int:
         """Fan a checkpoint out to every live worker; returns sessions saved."""
-        total = 0
-        for slot in list(self._workers):
-            if slot in self._failing:
-                continue
-            try:
-                reply = await self._workers[slot].request({"op": "checkpoint"})
-            except _WorkerLost:
-                continue  # mid-death; the monitor is (about to be) on it
-            if reply.get("ok"):
-                total += int(reply["sessions"])
+        replies = await self._fan_out({"op": "checkpoint"})
+        total = sum(int(reply["sessions"]) for reply in replies.values())
         if OBS.on:
             _OBS_INFLIGHT_ROWS.set(self._inflight_rows)
         return total
@@ -823,6 +852,7 @@ class FleetRouter(Frontend):
         if session_id is None:
             session_id = f"s{self._next_id}"
             self._next_id += 1
+            self._save_next_id()
         else:
             _check_session_id(session_id)
         if session_id in self._sessions:
@@ -834,28 +864,20 @@ class FleetRouter(Frontend):
         for key in ("seed", "engine"):
             if key in request:
                 message[key] = request[key]
-        while True:
-            await self._slot_ready(slot)
-            worker = self._workers[slot]
-            try:
-                reply = await worker.request(message)
-                break
-            except _WorkerLost:
-                await self._wait_replaced(slot, worker)
-                # The worker checkpoints *before* acking a create, so
-                # after failover the session either exists (created, ack
-                # lost) or does not (never created — safe to retry).
-                probe = await self._workers[slot].request(
-                    {"op": "query", "session": session_id}
-                )
-                if probe.get("ok"):
-                    reply = {"ok": True, "session": session_id,
-                             "engine": probe["engine"]}
-                    break
+
+        async def created(worker):
+            # The worker checkpoints *before* acking a create, so after
+            # failover the session either exists (created, ack lost) or
+            # does not (never created — safe to send again).
+            probe = await worker.request({"op": "query", "session": session_id})
+            if probe.get("ok"):
+                return {"ok": True, "session": session_id, "engine": probe["engine"]}
+            return None
+
+        reply = await self._exchange(slot, message, created)
         if not reply.get("ok"):
             raise Forwarded(reply)
         self._sessions[session_id] = _SessionRoute(group, slot)
-        self._persist_routes()
         return {"session": session_id, "engine": reply.get("engine")}
 
     async def _op_feed(self, request: dict) -> dict:
@@ -905,101 +927,67 @@ class FleetRouter(Frontend):
         it resends the rest, as a replay.  Returns the acknowledging reply
         (or, when nothing was left to resend, the replacement's view).
         """
-        lost = False
-        while True:
-            slot = route.slot
-            await self._slot_ready(slot)
-            worker = self._workers[slot]
-            try:
-                if lost:
-                    view = await worker.request({"op": "query", "session": session_id})
-                    if not view.get("ok"):
-                        raise Forwarded(view)
-                    held = _received(view) - route.received
-                    if held < 0:
-                        raise ServiceError(
-                            f"session {session_id!r}: the worker restored in "
-                            f"{slot} holds {-held} fewer rows than were "
-                            "acknowledged; cannot resume this feed"
-                        )
-                    route.received += held
-                    if held >= len(rows):
-                        return view  # the dead worker logged it; only the reply was lost
-                    rows = rows[held:]
-                    message = {**message, "replay": True}
-                    if held:
-                        message["rows"] = rows
-                    lost = False
-                reply = await worker.request(message)
-            except _WorkerLost:
-                await self._wait_replaced(slot, worker)
-                lost = True
-                continue
-            if not reply.get("ok"):
-                raise Forwarded(reply)
-            route.received = _received(reply)
-            if message.get("replay"):
-                self._rows_replayed += len(rows)
-                if OBS.on:
-                    _OBS_ROWS_REPLAYED.inc(len(rows))
-            return reply
+        async def resend(worker):
+            nonlocal rows, message
+            view = await worker.request({"op": "query", "session": session_id})
+            if not view.get("ok"):
+                return view
+            held = _received(view) - route.received
+            if held < 0:
+                raise ServiceError(
+                    f"session {session_id!r}: the worker restored in "
+                    f"{route.slot} holds {-held} fewer rows than were "
+                    "acknowledged; cannot resume this feed"
+                )
+            route.received += held
+            if held >= len(rows):
+                return view  # the dead worker logged it; only the reply was lost
+            rows = rows[held:]
+            message = {**message, "replay": True}
+            if held:
+                message["rows"] = rows
+            return await worker.request(message)
+
+        reply = await self._exchange(route, message, resend)
+        if not reply.get("ok"):
+            raise Forwarded(reply)
+        route.received = _received(reply)
+        if message.get("replay"):
+            self._rows_replayed += len(rows)
+            if OBS.on:
+                _OBS_ROWS_REPLAYED.inc(len(rows))
+        return reply
 
     async def _op_query(self, request: dict) -> dict:
         session_id = session_field(request)
-        route = self._route(session_id)
-        wait = bool(request.get("wait"))
-        while True:
-            slot = route.slot
-            await self._slot_ready(slot)
-            worker = self._workers[slot]
-            try:
-                if wait:
-                    # Waiting queries park server-side; give each its own
-                    # connection so the shared one stays responsive.
-                    reply = await worker.fresh_request(
-                        {"op": "query", "session": session_id, "wait": True}
-                    )
-                else:
-                    reply = await worker.request(
-                        {"op": "query", "session": session_id}
-                    )
-            except _WorkerLost:
-                await self._wait_replaced(slot, worker)
-                continue  # queries are idempotent: retry on the new worker
-            if not reply.get("ok"):
-                raise Forwarded(reply)
-            return {k: v for k, v in reply.items() if k not in ("ok", "id")}
+        message = {"op": "query", "session": session_id}
+        if request.get("wait"):
+            message["wait"] = True
+        # Queries are idempotent: one lost with its worker is sent again.
+        reply = await self._exchange(self._route(session_id), message)
+        if not reply.get("ok"):
+            raise Forwarded(reply)
+        return {k: v for k, v in reply.items() if k not in ("ok", "id")}
 
     async def _op_close(self, request: dict) -> dict:
         session_id = session_field(request)
         route = self._route(session_id)
+
+        async def closed(worker):
+            # A worker checkpoints a close (pruning the session) before it
+            # acks it: a replacement without the session lost only the ack.
+            probe = await worker.request({"op": "query", "session": session_id})
+            if "unknown session" in str(probe.get("error", "")):
+                return {"ok": True, "session": session_id, "closed": True}
+            return None
+
         async with route.lock:
             if self._sessions.get(session_id) is not route:
                 raise ServiceError(f"unknown session {session_id!r}")
-            retried = False
-            while True:
-                slot = route.slot
-                await self._slot_ready(slot)
-                worker = self._workers[slot]
-                try:
-                    reply = await worker.request(
-                        {"op": "close", "session": session_id}
-                    )
-                    break
-                except _WorkerLost:
-                    await self._wait_replaced(slot, worker)
-                    retried = True
+            reply = await self._exchange(route, {"op": "close", "session": session_id}, closed)
             if not reply.get("ok"):
-                if retried and "unknown session" in str(reply.get("error", "")):
-                    # The close landed (and was checkpointed, pruning the
-                    # session) right before the worker died — only the ack
-                    # was lost.  Honour it instead of erroring the retry.
-                    del self._sessions[session_id]
-                    self._persist_routes()
-                    return {"session": session_id, "closed": True}
                 raise Forwarded(reply)
             del self._sessions[session_id]
-            self._persist_routes()
             return {k: v for k, v in reply.items() if k not in ("ok", "id")}
 
     async def _op_checkpoint(self, request: dict) -> dict:
@@ -1008,19 +996,12 @@ class FleetRouter(Frontend):
     async def _op_metrics(self, request: dict) -> dict:
         from repro.service.metrics import aggregate_snapshots
 
-        per_worker: dict[str, dict] = {}
-        for slot in self._ordered_slots():
-            worker = self._workers.get(slot)
-            if worker is None or slot in self._failing:
-                continue
-            try:
-                reply = await worker.request({"op": "metrics"})
-            except _WorkerLost:
-                continue
-            if reply.get("ok"):
-                per_worker[slot] = reply["metrics"]
+        per_worker = {
+            slot: reply["metrics"]
+            for slot, reply in (await self._fan_out({"op": "metrics"})).items()
+        }
         aggregate = aggregate_snapshots(per_worker.values())
-        latencies = self._failover_latencies
+        failovers = self._failovers
         aggregate["fleet"] = {
             "workers": {
                 slot: {
@@ -1036,9 +1017,9 @@ class FleetRouter(Frontend):
             "standby": self._standby is not None and self._standby.proc.returncode is None,
             "failovers": self._failovers,
             "failover_latency_ms": {
-                "count": len(latencies),
-                "mean": round(sum(latencies) / len(latencies) * 1e3, 1) if latencies else 0.0,
-                "max": round(max(latencies) * 1e3, 1) if latencies else 0.0,
+                "count": failovers,
+                "mean": round(self._failover_seconds / failovers * 1e3, 1) if failovers else 0.0,
+                "max": round(self._failover_seconds_max * 1e3, 1),
             },
             "rows_replayed": self._rows_replayed,
             # Rows of feeds no worker has acknowledged yet: all the router
@@ -1061,16 +1042,7 @@ class FleetRouter(Frontend):
 
         limit = request.get("limit")
         payload = obs_payload(limit=int(limit) if limit is not None else None)
-        for slot in self._ordered_slots():
-            worker = self._workers.get(slot)
-            if worker is None or slot in self._failing:
-                continue
-            try:
-                reply = await worker.request({"op": "obs", "limit": limit})
-            except _WorkerLost:
-                continue
-            if not reply.get("ok"):
-                continue
+        for slot, reply in (await self._fan_out({"op": "obs", "limit": limit})).items():
             payload["spans"].extend(
                 {**span, "slot": slot} for span in reply.get("spans") or ()
             )
@@ -1118,7 +1090,6 @@ class FleetRouter(Frontend):
         self._ring.add(slot)
         self._monitors.append(asyncio.create_task(self._monitor_worker(slot, worker)))
         await self._rebalance()
-        self._persist_routes()
         return slot
 
     async def remove_worker(self, slot: str) -> int:
@@ -1135,7 +1106,6 @@ class FleetRouter(Frontend):
         worker = self._workers.pop(slot)
         await self._stop_worker(worker)
         self._slot_changed(slot)
-        self._persist_routes()
         return moved
 
     async def _rebalance(self) -> int:
@@ -1149,27 +1119,43 @@ class FleetRouter(Frontend):
         return moved
 
     async def _migrate(self, session_id: str, route: _SessionRoute, target: str) -> None:
-        """Live-move one session between workers via export/import."""
-        async with route.lock:
-            await self._slot_ready(route.slot)
-            await self._slot_ready(target)
-            source = self._workers[route.slot]
-            destination = self._workers[target]
-            exported = await source.request({"op": "export", "session": session_id})
-            if not exported.get("ok"):
-                raise ServiceError(
-                    f"export of {session_id} from {route.slot} failed: "
-                    f"{exported.get('error')}"
-                )
-            imported = await destination.request(
-                {"op": "import", "payload": exported["payload"]}
+        """Live-move one session between workers via export/import.
+
+        An import lost with its worker is sent again, from the payload the
+        router holds, unless the replacement already holds the session.  An
+        export lost with its worker is sent again if the replacement still
+        holds the session; otherwise the payload died with the reply.
+        """
+        probe = {"op": "query", "session": session_id}
+
+        async def exported(worker):
+            if (await worker.request(probe)).get("ok"):
+                return None
+            raise ServiceError(
+                f"session {session_id!r} was lost: worker {route.slot} died "
+                "after detaching it for a move, before the router got it"
             )
-            if not imported.get("ok"):
-                # Never strand the payload: put it back where it came from.
-                await source.request({"op": "import", "payload": exported["payload"]})
+
+        async def imported(worker):
+            if (await worker.request(probe)).get("ok"):
+                return {"ok": True, "session": session_id}
+            return None
+
+        async with route.lock:
+            source = route.slot
+            reply = await self._exchange(source, {"op": "export", "session": session_id},
+                                         exported)
+            if not reply.get("ok"):
                 raise ServiceError(
-                    f"import of {session_id} into {target} failed: "
-                    f"{imported.get('error')}"
+                    f"export of {session_id} from {source} failed: {reply.get('error')}"
+                )
+            message = {"op": "import", "payload": reply["payload"]}
+            reply = await self._exchange(target, message, imported)
+            if not reply.get("ok"):
+                # Never strand the payload: put it back where it came from.
+                await self._exchange(source, message, imported)
+                raise ServiceError(
+                    f"import of {session_id} into {target} failed: {reply.get('error')}"
                 )
             route.slot = target
 

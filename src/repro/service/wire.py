@@ -38,7 +38,7 @@ Kinds:
     A packed feed reply: ``count (u8)`` then ``count x (pending i64,
     time i64)`` pairs — the pre-encoded reply fast path (no
     ``json.dumps`` on the server's hot loop).  A server answers a packed
-    feed with one pair.
+    feed with one pair, and :func:`decode_reply` refuses any other count.
 
 Error containment mirrors the JSONL ``bad_json`` contract: a payload
 that fails to *decode* (:class:`FramePayloadError`) costs one error
@@ -344,10 +344,11 @@ def decode_reply(kind: int, payload: bytes) -> dict:
     """Parse any reply frame into the JSONL reply shape (a dict)."""
     if kind == KIND_ACK:
         acks = decode_ack(payload)
-        if len(acks) == 1:
-            pending, time_ = acks[0]
-            return {"ok": True, "pending": pending, "time": time_}
-        return {"ok": True, "acks": [[p, t] for p, t in acks]}
+        if len(acks) != 1:
+            # A packed feed carries one session, so its ack carries one pair.
+            raise FramePayloadError(f"ack frame carries {len(acks)} pairs, expected 1")
+        pending, time_ = acks[0]
+        return {"ok": True, "pending": pending, "time": time_}
     try:
         reply = json.loads(payload)
     except ValueError as exc:

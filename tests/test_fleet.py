@@ -19,6 +19,7 @@ rests on.
 from __future__ import annotations
 
 import asyncio
+import json
 import logging
 import os
 import signal
@@ -277,6 +278,35 @@ def _lose_in_flight(fleet, session_id: str, feed) -> None:
         feeding.result(timeout=120)
 
 
+def _kill_before(monkeypatch, times: int, matches) -> list:
+    """SIGKILL a worker just before the router sends it a request that
+    ``matches(payload)``, the first ``times`` times; returns the killed
+    requests' ops as they happen."""
+    request = fleet_module._WorkerProc.request
+    killed = []
+
+    async def killing_request(worker, payload):
+        if len(killed) < times and matches(payload):
+            killed.append(payload["op"])
+            worker.kill()
+            await worker.proc.wait()
+        return await request(worker, payload)
+
+    monkeypatch.setattr(fleet_module._WorkerProc, "request", killing_request)
+    return killed
+
+
+def _assert_same(handles: dict, local: SessionManager) -> None:
+    """Every remote session answers exactly like its local twin."""
+    local.drain()
+    for sid, handle in handles.items():
+        remote = handle.query(wait=True)
+        view = local.query(sid)
+        assert remote["time"] == view.time, sid
+        assert remote["topk"] == list(view.topk), sid
+        assert remote["messages"] == view.message_count, sid
+
+
 class TestFleetFailover:
     """Satellite: SIGKILL a worker — zero loss, exact resume via standby."""
 
@@ -476,6 +506,149 @@ class TestFleetFailover:
                 assert remote["topk"] == list(view.topk), sid
                 assert remote["messages"] == view.message_count, sid
             client.close()
+
+    def test_worker_death_during_migration_loses_nothing(self, monkeypatch):
+        """A destination SIGKILLed just before the router sends it an
+        ``import`` is failed over, and the router sends the payload it
+        holds again, to the replacement: no session is lost."""
+        rng = np.random.default_rng(61)
+        with start_fleet(workers=2, checkpoint_interval=60) as fleet:
+            with ServiceClient(fleet.address, timeout=120) as client:
+                local = SessionManager()
+                handles = {}
+                for i in range(8):
+                    handle = client.create_session(n=N, k=K, seed=1000 + i)
+                    local.create(N, K, seed=1000 + i, session_id=handle.id)
+                    handles[handle.id] = handle
+                    rows = rng.integers(0, 100, size=(10, N))
+                    handle.feed_rows(rows)
+                    local.feed_many(handle.id, rows)
+
+                killed = _kill_before(monkeypatch, 1, lambda p: p["op"] == "import")
+                assert fleet.remove_worker("w0") > 0
+                assert killed == ["import"]
+
+                assert sorted(client.session_ids()) == sorted(handles)
+                _assert_same(handles, local)
+                assert client.fleet()["failovers"] == 1
+
+    def test_worker_deaths_under_create_and_its_probe(self, monkeypatch):
+        """A create whose worker dies under it, and whose replacement dies
+        under the probe asking whether the create landed, is recovered
+        like a single death: the session is created once."""
+        with start_fleet(workers=2, checkpoint_interval=60) as fleet:
+            with ServiceClient(fleet.address, timeout=120) as client:
+                client.checkpoint()  # a standby restores only a checkpointed directory
+                killed = _kill_before(monkeypatch, 2, lambda p: p.get("session") == "twice")
+                reply = client.request("create", n=N, k=K, seed=5, session="twice")
+                assert killed == ["create", "query"]
+                assert reply["session"] == "twice"
+                assert client.session_ids() == ["twice"]
+                handle = client.session("twice")
+                handle.feed_rows(_matrix("random_walk", seed=5))
+                local = SessionManager()
+                local.create(N, K, seed=5, session_id="twice")
+                local.feed_many("twice", _matrix("random_walk", seed=5))
+                _assert_same({"twice": handle}, local)
+                assert client.fleet()["failovers"] == 2
+
+
+class TestFleetLinks:
+    """The router's pool of binary links to each worker."""
+
+    def test_parked_waits_share_links(self, monkeypatch):
+        """Feeds each read back with ``query(wait=True)`` reuse pooled
+        links: the router opens no connection per parked wait."""
+        opened = []
+        open_connection = asyncio.open_connection
+
+        async def counting(*args, **kwargs):
+            opened.append(args)
+            return await open_connection(*args, **kwargs)
+
+        rows = np.arange(4 * N, dtype=np.int64).reshape(4, N) % 7
+        with start_fleet(workers=2, checkpoint_interval=60) as fleet:
+            with ServiceClient(fleet.address) as client:
+                handles = [client.create_session(n=N, k=K, seed=40 + i) for i in range(4)]
+                monkeypatch.setattr(asyncio, "open_connection", counting)
+                for i in range(40):
+                    handles[i % 4].feed_rows(rows)
+                    assert handles[i % 4].query(wait=True)["pending"] == 0
+        assert len(opened) <= fleet_module.IDLE_LINKS
+
+    def test_parked_wait_holds_up_nothing_else(self):
+        """A ``wait`` query parked on a worker whose batch lingers 2 s
+        holds up no other client's feed or query on that worker."""
+        rows = np.arange(4 * N, dtype=np.int64).reshape(4, N) % 7
+        with start_fleet(workers=1, batch_linger=2.0, checkpoint_interval=60) as fleet:
+            with ServiceClient(fleet.address, timeout=60) as waiter, \
+                    ServiceClient(fleet.address, timeout=60) as other:
+                parked = waiter.create_session(n=N, k=K, seed=1)
+                busy = other.create_session(n=N, k=K, seed=2)
+                parked.feed_rows(rows)
+                with ThreadPoolExecutor(max_workers=1) as pool:
+                    waiting = pool.submit(parked.query, wait=True)
+                    time.sleep(0.2)  # time for the wait to park worker-side
+                    start = time.monotonic()
+                    busy.feed_rows(rows)
+                    busy.query()
+                    elapsed = time.monotonic() - start
+                    assert not waiting.done()
+                    assert waiting.result(timeout=60)["time"] == len(rows) - 1
+        assert elapsed < 0.5
+
+
+class TestFleetRouterState:
+    """``router.json`` keeps only what no worker can be asked for."""
+
+    def test_router_file_holds_only_the_id_counter(self, tmp_path):
+        root = tmp_path / "fleet"
+        with start_fleet(workers=2, checkpoint_dir=str(root), checkpoint_interval=60) as fleet:
+            with ServiceClient(fleet.address) as client:
+                handles = [client.create_session(n=N, k=K, seed=i) for i in range(3)]
+                handles[1].close()
+                running = json.loads((root / "router.json").read_text())
+        assert running == {"schema": 1, "next_id": 4}
+        assert json.loads((root / "router.json").read_text()) == running
+
+    def test_restart_from_a_3_0_router_file(self, tmp_path):
+        """A root whose ``router.json`` still maps each session to its
+        group, as 3.0.0 wrote it, restarts with every session placed by its
+        recomputed group, and the id counter resumes."""
+        root = tmp_path / "fleet"
+        values = _matrix("random_walk", seed=15)
+        options = dict(workers=2, checkpoint_dir=str(root), checkpoint_interval=60)
+        with start_fleet(**options) as fleet:
+            with ServiceClient(fleet.address) as client:
+                ids = []
+                for i in range(4):
+                    handle = client.create_session(n=N, k=K, seed=70 + i)
+                    handle.feed_rows(values[:30])
+                    ids.append(handle.id)
+        (root / "router.json").write_text(json.dumps({
+            "schema": 1, "next_id": 9,
+            "sessions": {sid: batch_group(N, K, sid) for sid in ids},
+        }))
+
+        with start_fleet(**options) as fleet:
+            with ServiceClient(fleet.address) as client:
+                assert sorted(client.session_ids()) == sorted(ids)
+                for i, sid in enumerate(ids):
+                    handle = client.session(sid)
+                    handle.feed_rows(values[30:])
+                    state = handle.query(wait=True)
+                    offline = repro.run(repro.RunSpec(values, k=K, seed=70 + i,
+                                                      engine="vectorized"))
+                    assert state["time"] == len(values) - 1, sid
+                    assert state["topk"] == offline.topk_history[-1].tolist(), sid
+                    assert state["messages"] == offline.total_messages, sid
+                assert client.create_session(n=N, k=K).id == "s9"
+                placed = {w["slot"]: w["sessions"] for w in fleet.workers()["workers"]}
+        ring = HashRing(placed)
+        expected = dict.fromkeys(placed, 0)
+        for sid in [*ids, "s9"]:
+            expected[ring.lookup(batch_group(N, K, sid))] += 1
+        assert placed == expected
 
 
 def _service_children() -> set:

@@ -1229,6 +1229,9 @@ class TestWireCodec:
 
         with pytest.raises(wire.FramePayloadError):
             wire.decode_feed(b"\x00")
+        two_acks = wire.encode_ack([(0, 1), (2, 3)])
+        with pytest.raises(wire.FramePayloadError):
+            wire.decode_reply(wire.KIND_ACK, two_acks[wire.HEADER_SIZE:])
         with pytest.raises(wire.FrameError):
             wire.read_frame_blocking(_BytesStream(b"\xff" * 16))
         with pytest.raises(wire.FrameEOF):
