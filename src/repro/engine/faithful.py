@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.checkpoint import restore_session, save_session
-from repro.core.monitor import MonitorConfig, OnlineSession, TopKMonitor
+from repro.core.monitor import MonitorConfig, TopKMonitor
 from repro.engine.registry import (
     CAP_ABLATIONS,
     CAP_AUDIT,
-    CAP_CHECKPOINT,
     CAP_EVENTS,
     CAP_MESSAGES,
-    CAP_STREAMING,
     CAP_TRAJECTORY,
     register_engine,
 )
@@ -34,31 +31,9 @@ def _run_faithful(values: np.ndarray, k: int, *, seed, config: MonitorConfig) ->
     return RunResult.from_monitor(result, engine="faithful")
 
 
-def _session_factory(n: int, k: int, *, seed=None, config=None) -> OnlineSession:
-    if config is None:
-        # Streaming sessions live indefinitely and nothing in the service
-        # reads per-step events; the batch default (collect_events=True)
-        # would grow one StepEvent per row forever.  Callers who want the
-        # instrumentation pass an explicit config.
-        config = MonitorConfig(collect_events=False)
-    return OnlineSession(n, k, seed=seed, config=config)
-
-
-def _session_restore(state: dict) -> OnlineSession:
-    # Restored service sessions get the streaming-default instrumentation
-    # (no per-step event growth), same as _session_factory's default.
-    return restore_session(state, config=MonitorConfig(collect_events=False))
-
-
 register_engine(
     "faithful",
     description="object-model monitor: transports, ledger, events; audit + all ablations",
-    capabilities={
-        CAP_TRAJECTORY, CAP_EVENTS, CAP_MESSAGES, CAP_AUDIT, CAP_ABLATIONS,
-        CAP_STREAMING, CAP_CHECKPOINT,
-    },
+    capabilities={CAP_TRAJECTORY, CAP_EVENTS, CAP_MESSAGES, CAP_AUDIT, CAP_ABLATIONS},
     runner=_run_faithful,
-    session_factory=_session_factory,
-    session_snapshot=save_session,
-    session_restore=_session_restore,
 )

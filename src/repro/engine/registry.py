@@ -33,6 +33,11 @@ name everywhere (``repro.run(spec, engine="myengine")``, the CLI's
 Capability flags are advisory metadata: they tell callers (and the CLI
 listing) what a result will contain, while unsupported *requests* (e.g.
 ``audit=True`` on a counting engine) fail loudly inside the runner.
+
+Registration reaches offline replay only.  The streaming service
+(:mod:`repro.service`) hosts one kind of live session, the counting
+kernel :class:`~repro.engine.vectorized.IncrementalKernel`, which it
+builds and checkpoints directly.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import importlib
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import ConfigurationError, RegistryError
+from repro.errors import ConfigurationError
 
 __all__ = [
     "CAP_TRAJECTORY",
@@ -50,14 +55,10 @@ __all__ = [
     "CAP_MESSAGES",
     "CAP_AUDIT",
     "CAP_ABLATIONS",
-    "CAP_STREAMING",
-    "CAP_CHECKPOINT",
     "EngineInfo",
     "ENGINES",
     "register_engine",
     "get_engine",
-    "get_session_factory",
-    "get_session_codec",
     "list_engines",
 ]
 
@@ -73,37 +74,19 @@ CAP_MESSAGES = "messages"
 CAP_AUDIT = "audit"
 #: Ablation knobs (``always_reset``, ``broadcast_every_round``).
 CAP_ABLATIONS = "ablations"
-#: Incremental row-at-a-time stepping (``session_factory`` registered);
-#: required to host live sessions in :mod:`repro.service`.
-CAP_STREAMING = "streaming"
-#: Session checkpoint/restore (``session_snapshot``/``session_restore``
-#: registered); required for the service's ``--checkpoint-dir`` survival.
-CAP_CHECKPOINT = "checkpoint"
 
 #: ``runner(values, k, *, seed, config) -> RunResult``
 EngineRunner = Callable[..., Any]
-#: ``session_factory(n, k, *, seed, config) -> stepper`` where the stepper
-#: exposes ``step(row) -> topk``, ``time``, ``topk`` and ``message_count``
-#: (the contract :mod:`repro.service` builds on).
-SessionFactory = Callable[..., Any]
-#: ``session_snapshot(stepper) -> dict`` — JSON-safe full algorithmic
-#: state, bit-identically invertible by the paired ``session_restore``.
-SessionSnapshot = Callable[[Any], dict]
-#: ``session_restore(state) -> stepper`` — inverse of ``session_snapshot``.
-SessionRestore = Callable[[dict], Any]
 
 
 @dataclass(frozen=True)
 class EngineInfo:
-    """One registered engine: identity, capabilities, and entry points."""
+    """One registered engine: identity, capabilities, and its runner."""
 
     name: str
     description: str
     capabilities: frozenset[str]
     runner: EngineRunner
-    session_factory: SessionFactory | None = None
-    session_snapshot: SessionSnapshot | None = None
-    session_restore: SessionRestore | None = None
 
     def supports(self, capability: str) -> bool:
         """Whether this engine advertises ``capability``."""
@@ -137,9 +120,6 @@ def register_engine(
     description: str,
     capabilities=(),
     runner: EngineRunner,
-    session_factory: SessionFactory | None = None,
-    session_snapshot: SessionSnapshot | None = None,
-    session_restore: SessionRestore | None = None,
 ) -> EngineInfo:
     """Register an engine under ``name``.
 
@@ -154,18 +134,6 @@ def register_engine(
         Iterable of the ``CAP_*`` flags the engine's results support.
     runner:
         ``runner(values, k, *, seed, config) -> RunResult``.
-    session_factory:
-        Optional ``(n, k, *, seed, config) -> stepper`` constructor for
-        incremental row-at-a-time sessions; registering one is what makes
-        the engine usable by the streaming service (advertise it with
-        :data:`CAP_STREAMING`).
-    session_snapshot / session_restore:
-        Optional checkpoint codec for the engine's steppers: ``snapshot``
-        captures a stepper's full algorithmic state as a JSON-safe dict
-        and ``restore`` rebuilds a stepper that behaves bit-identically —
-        including future coin flips.  Registering the pair is what lets
-        :meth:`repro.service.SessionManager.checkpoint` persist sessions
-        hosted on this engine (advertise with :data:`CAP_CHECKPOINT`).
 
     Returns
     -------
@@ -175,42 +143,14 @@ def register_engine(
     ------
     ConfigurationError
         If ``name`` is already registered.
-    RegistryError
-        If a declared capability is not backed by its seam: ``streaming``
-        without a ``session_factory``, or ``checkpoint`` without the full
-        ``session_snapshot``/``session_restore`` codec.  (The static
-        linter's R3 rule checks the same contract — and its converse —
-        at review time; this is the runtime backstop for engines
-        registered from outside the repo.)
     """
     if name in ENGINES:
         raise ConfigurationError(f"engine {name!r} is already registered")
-    caps = frozenset(capabilities)
-    if (session_snapshot is None) != (session_restore is None):
-        raise RegistryError(
-            f"engine {name!r} must register session_snapshot and session_restore "
-            f"together (a one-sided checkpoint codec cannot round-trip)"
-        )
-    if CAP_STREAMING in caps and session_factory is None:
-        raise RegistryError(
-            f"engine {name!r} declares the {CAP_STREAMING!r} capability but registers "
-            f"no session_factory; the streaming service would accept sessions it "
-            f"cannot host — register a factory or drop the capability"
-        )
-    if CAP_CHECKPOINT in caps and (session_snapshot is None or session_restore is None):
-        raise RegistryError(
-            f"engine {name!r} declares the {CAP_CHECKPOINT!r} capability but registers "
-            f"no session_snapshot/session_restore codec; checkpoints of its sessions "
-            f"could never be taken — register the codec pair or drop the capability"
-        )
     info = EngineInfo(
         name=name,
         description=description,
-        capabilities=caps,
+        capabilities=frozenset(capabilities),
         runner=runner,
-        session_factory=session_factory,
-        session_snapshot=session_snapshot,
-        session_restore=session_restore,
     )
     ENGINES[name] = info
     return info
@@ -245,76 +185,6 @@ def get_engine(name: str) -> EngineInfo:
         raise ConfigurationError(
             f"unknown engine {name!r}; registered engines: {', '.join(sorted(ENGINES))}"
         ) from None
-
-
-def get_session_factory(name: str) -> SessionFactory:
-    """The streaming-session constructor of a registered engine.
-
-    Args
-    ----
-    name:
-        A registered engine name.
-
-    Returns
-    -------
-    The engine's ``session_factory``.
-
-    Raises
-    ------
-    ConfigurationError
-        If the engine exists but registered no session factory (it cannot
-        host live sessions), or if no engine of that name is registered.
-
-    Example
-    -------
-    >>> stepper = get_session_factory("vectorized")(4, 2, seed=0)
-    >>> stepper.step([30, 10, 20, 40]).tolist()
-    [0, 3]
-    """
-    info = get_engine(name)
-    if info.session_factory is None:
-        streaming = sorted(e.name for e in ENGINES.values() if e.session_factory is not None)
-        raise ConfigurationError(
-            f"engine {name!r} does not support streaming sessions; "
-            f"streaming engines: {', '.join(streaming)}"
-        )
-    return info.session_factory
-
-
-def get_session_codec(name: str) -> tuple[SessionSnapshot, SessionRestore]:
-    """The checkpoint codec of a registered engine.
-
-    Args
-    ----
-    name:
-        A registered engine name.
-
-    Returns
-    -------
-    The engine's ``(session_snapshot, session_restore)`` pair.
-
-    Raises
-    ------
-    ConfigurationError
-        If the engine registered no checkpoint codec (its sessions cannot
-        be persisted), or if no engine of that name is registered.
-
-    Example
-    -------
-    >>> snapshot, restore = get_session_codec("vectorized")
-    >>> stepper = get_session_factory("vectorized")(4, 2, seed=0)
-    >>> _ = stepper.step([30, 10, 20, 40])
-    >>> restore(snapshot(stepper)).topk.tolist()
-    [0, 3]
-    """
-    info = get_engine(name)
-    if info.session_snapshot is None or info.session_restore is None:
-        supported = sorted(e.name for e in ENGINES.values() if e.session_snapshot is not None)
-        raise ConfigurationError(
-            f"engine {name!r} does not support session checkpointing; "
-            f"checkpointable engines: {', '.join(supported)}"
-        )
-    return info.session_snapshot, info.session_restore
 
 
 def list_engines() -> list[EngineInfo]:

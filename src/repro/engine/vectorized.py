@@ -46,13 +46,7 @@ from repro.engine.kernel import (
     protocol_run as _protocol_run,
     reset_sweeps as _reset_sweeps,
 )
-from repro.engine.registry import (
-    CAP_CHECKPOINT,
-    CAP_COUNTING,
-    CAP_STREAMING,
-    CAP_TRAJECTORY,
-    register_engine,
-)
+from repro.engine.registry import CAP_COUNTING, CAP_TRAJECTORY, register_engine
 from repro.engine.results import RunResult
 from repro.errors import ConfigurationError
 from repro.obs.registry import OBS, counter as _obs_counter
@@ -121,14 +115,6 @@ class IncrementalKernel:
     randomness, so batched or lookahead stepping stays bit-identical to a
     per-row loop.
     """
-
-    #: Marker for batch schedulers: quietness of a step can be decided
-    #: externally from :attr:`filter` and applied via ``quiet_step``.
-    supports_batch = True
-
-    #: Marker for deep-inbox schedulers: ``observe_many`` skips quiet
-    #: prefixes with a block scan (exactness guaranteed by the kernel).
-    supports_lookahead = True
 
     def __init__(
         self,
@@ -334,8 +320,8 @@ class IncrementalKernel:
 
         JSON-compatible; includes the RNG state, so a restored kernel's
         future coin flips (hence message counts) are bit-identical to one
-        that never stopped.  Inverse of :meth:`from_snapshot`; registered
-        with the engine registry as the ``vectorized`` session codec.
+        that never stopped.  Inverse of :meth:`from_snapshot`; the
+        streaming service's checkpoint and migration payloads carry it.
         """
         from repro.core.checkpoint import encode_rng_state
 
@@ -466,32 +452,11 @@ def _fast_runner(values: np.ndarray, k: int, *, seed, config) -> RunResult:
     return RunResult.from_counting(_counting_result(kernel, history), engine="fast")
 
 
-def _session_factory(n: int, k: int, *, seed=None, config=None) -> IncrementalKernel:
-    if config is None:
-        from repro.core.monitor import MonitorConfig
-
-        config = MonitorConfig()
-    check_counting_config(config, "vectorized")
-    return IncrementalKernel(
-        n, k, seed=seed,
-        skip_redundant_min=config.skip_redundant_min,
-        protocol=config.protocol,
-        track_times=False,  # streaming sessions are indefinitely lived
-    )
-
-
-def _session_snapshot(stepper: IncrementalKernel) -> dict[str, Any]:
-    return stepper.snapshot()
-
-
 register_engine(
     "vectorized",
     description="flat-NumPy per-step counting engine: trajectory + per-phase counters",
-    capabilities={CAP_TRAJECTORY, CAP_COUNTING, CAP_STREAMING, CAP_CHECKPOINT},
+    capabilities={CAP_TRAJECTORY, CAP_COUNTING},
     runner=_engine_runner,
-    session_factory=_session_factory,
-    session_snapshot=_session_snapshot,
-    session_restore=IncrementalKernel.from_snapshot,
 )
 register_engine(
     "fast",

@@ -35,13 +35,12 @@ class ConfigurationError(ReproError, ValueError):
 
 
 class RegistryError(ConfigurationError):
-    """Raised when an engine registration breaks a capability contract.
+    """Raised when a metric family is declared or used inconsistently.
 
-    A capability flag is a promise the service acts on: ``streaming``
-    promises a ``session_factory``, ``checkpoint`` promises a complete
-    ``session_snapshot``/``session_restore`` codec.  Registration is the
-    one moment the promise can be checked next to the code that made it,
-    so a broken contract fails here rather than deep inside the service.
+    The observability registry (:mod:`repro.obs.registry`) raises it for a
+    metric name that is not snake_case, a redeclaration with another kind
+    or other labels, labels that do not match the family's, and a lookup
+    of a family nobody declared.
 
     Derives from :class:`ConfigurationError` (hence :class:`ValueError`)
     so existing ``except ConfigurationError`` callers keep working.

@@ -4,10 +4,11 @@ The repo's load-bearing promises (bit-identical engines, one quietness
 kernel, seeded randomness everywhere, a non-blocking service hot path,
 complete checkpoint codecs) are cheap to keep while they are
 machine-checked and expensive to rediscover after they rot.
-This package checks them on every CI run: five AST rules (R1-R5) over the
-package source, with per-line suppressions for derived/transient cases and
-a committed baseline (``.reprolint-baseline.json``) for the grandfathered,
-genuinely intentional ones.
+This package checks them on every CI run: four AST rules (R1, R2, R4, R5;
+R3 is retired) over the package source, with per-line suppressions for
+derived/transient cases and a committed baseline
+(``.reprolint-baseline.json``) for the grandfathered, genuinely
+intentional ones.
 
 Run it::
 

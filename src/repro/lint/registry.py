@@ -58,7 +58,6 @@ RULES: dict[str, RuleInfo] = {}
 _BUILTIN_MODULES = (
     "repro.lint.rules.kernel_singleton",
     "repro.lint.rules.determinism",
-    "repro.lint.rules.registry_contract",
     "repro.lint.rules.async_hotpath",
     "repro.lint.rules.snapshot_complete",
 )

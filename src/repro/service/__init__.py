@@ -5,7 +5,8 @@ subsystem (the paper's actual deployment shape — values arrive over time,
 answers must be current):
 
 * :class:`~repro.service.manager.SessionManager` — thousands of concurrent
-  :class:`~repro.core.monitor.OnlineSession`-shaped monitors, stepped in
+  live coordinators, each an
+  :class:`~repro.engine.vectorized.IncrementalKernel`, stepped in
   batched sweeps that decide quietness for whole groups of sessions with
   one stacked kernel comparison
   (:func:`repro.engine.kernel.violates_stacked`), draining deep inboxes
@@ -42,10 +43,10 @@ True
 [0, 2]
 >>> client.close(); server.close()
 
-Engines host sessions through the registry's ``session_factory`` seam
-(:func:`repro.engine.registry.get_session_factory`): ``vectorized``
-sessions join the batched path, ``faithful`` sessions carry full
-instrumentation, and third-party engines plug in by registering a factory.
+Every session is the ``vectorized`` engine's kernel, bit-identical to
+every engine's offline run on the same rows; a ``create`` that names any
+other engine is refused.  The instrumented in-process form of a live
+session is :class:`~repro.core.monitor.OnlineSession`.
 """
 
 from repro.service.client import ServiceClient, SessionHandle
@@ -57,7 +58,6 @@ from repro.service.fleet import (
     start_fleet,
 )
 from repro.service.manager import (
-    DEFAULT_ENGINE,
     DEFAULT_INBOX_LIMIT,
     DEFAULT_MAX_NODES,
     SessionManager,
@@ -82,7 +82,6 @@ __all__ = [
     "batch_group",
     "ServiceClient",
     "SessionHandle",
-    "DEFAULT_ENGINE",
     "DEFAULT_INBOX_LIMIT",
     "DEFAULT_MAX_NODES",
 ]

@@ -356,13 +356,11 @@ class ServiceClient:
 
     # ---------------------------------------------------------------- ops
 
-    def create_session(self, n: int, k: int, *, seed=None, engine: str | None = None) -> "SessionHandle":
+    def create_session(self, n: int, k: int, *, seed=None) -> "SessionHandle":
         """Open a session on the server; returns its handle."""
         fields: dict = {"n": n, "k": k}
         if seed is not None:
             fields["seed"] = seed
-        if engine is not None:
-            fields["engine"] = engine
         reply = self.request("create", **fields)
         return SessionHandle(self, reply["session"], acked=0)
 

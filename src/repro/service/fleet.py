@@ -633,14 +633,21 @@ class FleetRouter(Frontend):
             print(f"fleet: worker {slot} (pid {dead.pid}) died; promoting standby",
                   file=sys.stderr, flush=True)
             replacement = await self._take_standby()
-            reply = await replacement.request(
-                {"op": "restore", "dir": str(dead.checkpoint_dir)}
-            )
-            if not reply.get("ok"):
-                raise ServiceError(
-                    f"standby could not restore {slot} from {dead.checkpoint_dir}: "
-                    f"{reply.get('error')}"
+            try:
+                reply = await replacement.request(
+                    {"op": "restore", "dir": str(dead.checkpoint_dir)}
                 )
+                if not reply.get("ok"):
+                    raise ServiceError(
+                        f"standby could not restore {slot} from {dead.checkpoint_dir}: "
+                        f"{reply.get('error')}"
+                    )
+            except BaseException:
+                # Taken as the standby but never made a slot worker: no
+                # shutdown would reach it, so it is stopped here.
+                replacement.kill()
+                replacement.let_go()
+                raise
             replacement.slot = slot
             replacement.checkpoint_dir = dead.checkpoint_dir
             self._workers[slot] = replacement
@@ -1114,17 +1121,18 @@ class FleetRouter(Frontend):
         for session_id, route in list(self._sessions.items()):
             target = self._ring.lookup(route.group)
             if target != route.slot:
-                await self._migrate(session_id, route, target)
-                moved += 1
+                moved += await self._migrate(session_id, route, target)
         return moved
 
-    async def _migrate(self, session_id: str, route: _SessionRoute, target: str) -> None:
+    async def _migrate(self, session_id: str, route: _SessionRoute, target: str) -> bool:
         """Live-move one session between workers via export/import.
 
-        An import lost with its worker is sent again, from the payload the
-        router holds, unless the replacement already holds the session.  An
-        export lost with its worker is sent again if the replacement still
-        holds the session; otherwise the payload died with the reply.
+        Returns whether it moved: a session closed, or already moved,
+        while this waited for its lock stays as it is.  An import lost
+        with its worker is sent again, from the payload the router holds,
+        unless the replacement already holds the session.  An export lost
+        with its worker is sent again if the replacement still holds the
+        session; otherwise the payload died with the reply.
         """
         probe = {"op": "query", "session": session_id}
 
@@ -1142,6 +1150,8 @@ class FleetRouter(Frontend):
             return None
 
         async with route.lock:
+            if self._sessions.get(session_id) is not route or route.slot == target:
+                return False
             source = route.slot
             reply = await self._exchange(source, {"op": "export", "session": session_id},
                                          exported)
@@ -1158,6 +1168,7 @@ class FleetRouter(Frontend):
                     f"import of {session_id} into {target} failed: {reply.get('error')}"
                 )
             route.slot = target
+            return True
 
     # -------------------------------------------------------- test hooks
 

@@ -1,10 +1,11 @@
 """Session manager: thousands of live Algorithm-1 monitors in one process.
 
 A :class:`SessionManager` owns a registry of named *sessions* — each one a
-streaming Algorithm-1 coordinator produced by an engine's registered
-``session_factory`` (:mod:`repro.engine.registry`).  Rows are *fed* into a
-bounded per-session inbox and *stepped* by sweeps; queries read the current
-top-k, time, and protocol message count.
+streaming Algorithm-1 coordinator, the counting engines'
+:class:`~repro.engine.vectorized.IncrementalKernel` built with
+``track_times=False`` (so it keeps no per-row state).  Rows are *fed* into
+a bounded per-session inbox and *stepped* by sweeps; queries read the
+current top-k, time, and protocol message count.
 
 The inbox
 ---------
@@ -18,12 +19,11 @@ whole.
 
 The batched stepping path
 -------------------------
-``step()`` does not loop sessions naively: batchable steppers (the
-vectorized :class:`~repro.engine.vectorized.IncrementalKernel`) of equal
+``step()`` does not loop sessions naively: initialized kernels of equal
 ``(n, k)`` are grouped, the next row of each one's head block stacked into
 one ``(B, n)`` matrix, and quietness — "does this row violate any
 filter?" — is decided for the whole group with one stacked comparison,
-:func:`repro.engine.kernel.violates_stacked` over the steppers' shared
+:func:`repro.engine.kernel.violates_stacked` over the kernels' shared
 :class:`~repro.engine.kernel.FilterState` objects.  Quiet sessions (the
 regime the paper's filters create) advance via ``quiet_step()`` — no
 per-session Python protocol logic, no randomness consumed — so batched
@@ -33,7 +33,7 @@ The deep-inbox lookahead
 ------------------------
 A session whose inbox is deep (``>= LOOKAHEAD_MIN_DEPTH`` pending rows,
 e.g. after a bulk ``feed_rows`` or while draining) skips the sweep loop
-entirely: its whole backlog is handed to the stepper's ``observe_many``
+entirely: its whole backlog is handed to the kernel's ``observe_many``
 (the queued block itself, concatenated only when several are waiting),
 which uses the kernel's cross-row ``scan_quiet`` block scan to drain every
 quiet prefix in O(log B) whole-array reductions instead of B per-row
@@ -43,13 +43,13 @@ bit-identical — and it is the fast lane behind :meth:`drain` and
 
 Checkpoint / restore
 --------------------
-:meth:`checkpoint` persists every live session — engine name, full
-algorithmic state via the engine's registered session codec
-(:func:`repro.engine.registry.get_session_codec`), and the pending inbox as
-a flat list of rows — as one JSON file per session plus a manifest, written
-atomically.  Each call that is not a no-op lists the directory once, writes
-the dirty sessions and any session whose file is missing, rewrites the
-manifest, then prunes the files of closed sessions.
+:meth:`checkpoint` persists every live session — the engine name, the
+kernel's full algorithmic state (:meth:`IncrementalKernel.snapshot
+<repro.engine.vectorized.IncrementalKernel.snapshot>`), and the pending
+inbox as a flat list of rows — as one JSON file per session plus a
+manifest, written atomically.  Each call that is not a no-op lists the
+directory once, writes the dirty sessions and any session whose file is
+missing, rewrites the manifest, then prunes the files of closed sessions.
 ``SessionManager(restore=dir)`` rebuilds the whole fleet, bit-identically:
 restored sessions produce the same future trajectories, coin flips, and
 message counts as if the process had never died.
@@ -90,27 +90,28 @@ import zlib
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from repro.engine.kernel import violates_stacked
-from repro.engine.registry import get_engine, get_session_codec, get_session_factory
+from repro.engine.vectorized import IncrementalKernel
 from repro.errors import BackpressureError, ConfigurationError, ServiceError
 from repro.service.metrics import MetricsRecorder, MetricsSnapshot
 
 __all__ = [
     "SessionManager",
     "SessionView",
-    "DEFAULT_ENGINE",
+    "SESSION_ENGINE",
     "DEFAULT_INBOX_LIMIT",
     "DEFAULT_MAX_NODES",
     "LOOKAHEAD_MIN_DEPTH",
 ]
 
-#: Engine used when ``create`` is not told otherwise.  The vectorized
-#: kernel is the only built-in whose sessions join the batched path.
-DEFAULT_ENGINE = "vectorized"
+#: The engine name every session carries: replies, session files and
+#: ``import`` payloads name it, and a ``create`` request or a payload that
+#: names another engine is refused.
+SESSION_ENGINE = "vectorized"
 
 #: Default bound on pending rows per session (the backpressure threshold).
 DEFAULT_INBOX_LIMIT = 1024
@@ -187,29 +188,19 @@ class SessionView:
 
 
 class _Session:
-    """One live session: its stepper, the bounded inbox, carried counts.
+    """One live session: its kernel and the bounded inbox.
 
     ``inbox`` holds validated ``(b, n)`` int64 blocks, oldest first, with
     no empty block; ``pending`` is the number of rows across them.
-    ``message_base`` is the message total carried over a checkpoint
-    boundary for steppers whose instrumentation restarts empty (the
-    faithful monitor's ledger); the counting kernel checkpoints its
-    counters, so its base stays 0.
     """
 
-    __slots__ = ("session_id", "engine", "stepper", "inbox", "pending", "message_base")
+    __slots__ = ("session_id", "stepper", "inbox", "pending")
 
-    def __init__(self, session_id: str, engine: str, stepper: Any, message_base: int = 0):
+    def __init__(self, session_id: str, stepper: IncrementalKernel):
         self.session_id = session_id
-        self.engine = engine
         self.stepper = stepper
         self.inbox: deque[np.ndarray] = deque()
         self.pending = 0
-        self.message_base = message_base
-
-    @property
-    def message_count(self) -> int:
-        return self.message_base + self.stepper.message_count
 
     @property
     def received(self) -> int:
@@ -247,9 +238,6 @@ class SessionManager:
 
     Args
     ----
-    default_engine:
-        Engine name used by :meth:`create` when none is given.  Must have
-        a registered session factory.
     inbox_limit:
         Maximum pending (fed but unstepped) rows per session; feeding
         beyond it raises :class:`~repro.errors.BackpressureError`.
@@ -276,7 +264,6 @@ class SessionManager:
     def __init__(
         self,
         *,
-        default_engine: str = DEFAULT_ENGINE,
         inbox_limit: int = DEFAULT_INBOX_LIMIT,
         max_nodes: int = DEFAULT_MAX_NODES,
         batch: bool = True,
@@ -285,8 +272,6 @@ class SessionManager:
     ):
         if inbox_limit < 1:
             raise ConfigurationError(f"inbox_limit must be >= 1, got {inbox_limit}")
-        get_session_factory(default_engine)  # fail fast on a non-streaming engine
-        self.default_engine = default_engine
         self.inbox_limit = inbox_limit
         self.max_nodes = max_nodes
         self.batch = batch
@@ -307,29 +292,22 @@ class SessionManager:
 
     # ----------------------------------------------------------- lifecycle
 
-    def create(
-        self,
-        n: int,
-        k: int,
-        *,
-        seed=None,
-        engine: str | None = None,
-        config=None,
-        session_id: str | None = None,
-    ) -> str:
+    def create(self, n: int, k: int, *, seed=None, session_id: str | None = None) -> str:
         """Open a new session; returns its id.
+
+        The session is ``IncrementalKernel(n, k, seed=seed,
+        track_times=False)``: its counters count, but it keeps no list
+        that grows per row, so a stream that never ends stays bounded.
 
         Raises
         ------
         ConfigurationError
-            For invalid ``n``/``k``, an engine without streaming support,
-            config knobs the engine rejects, or a duplicate ``session_id``.
+            For invalid ``n``/``k`` or a duplicate ``session_id``.
         """
         if not 1 <= n <= self.max_nodes:
             raise ConfigurationError(
                 f"n must be in [1, {self.max_nodes}] (the manager's max_nodes cap), got {n}"
             )
-        engine = engine or self.default_engine
         if session_id is None:
             session_id = f"s{self._next_id}"
             self._next_id += 1
@@ -337,8 +315,8 @@ class SessionManager:
             _check_session_id(session_id)
         if session_id in self._sessions:
             raise ConfigurationError(f"session id {session_id!r} already exists")
-        stepper = get_session_factory(engine)(n, k, seed=seed, config=config)
-        self._sessions[session_id] = _Session(session_id, engine, stepper)
+        stepper = IncrementalKernel(n, k, seed=seed, track_times=False)
+        self._sessions[session_id] = _Session(session_id, stepper)
         self._dirty.add(session_id)
         self.metrics.sessions_created += 1
         return session_id
@@ -348,10 +326,10 @@ class SessionManager:
         session = self._get(session_id)
         if session.pending:
             t0 = self.metrics.clock()
-            rows, used_lookahead = self._drain_session(session)
+            rows = self._drain_session(session)
             self.metrics.record_sweep(
                 rows, self.metrics.clock() - t0,
-                lookahead=rows if used_lookahead else 0,
+                lookahead=rows if self.lookahead else 0,
             )
         view = self._view(session)
         self.metrics.record_close(view.message_count)
@@ -438,11 +416,11 @@ class SessionManager:
         """One sweep: advance every session with pending rows.
 
         Returns the number of rows processed.  Three lanes, fastest first:
-        deep inboxes of lookahead-capable steppers drain whole via an
-        ``observe_many`` block scan; batchable steppers are grouped by
-        ``(n, k)`` and their quietness decided in one stacked comparison
-        (everyone else advances one row individually).  All three lanes
-        are bit-identical (see the module docstring).
+        deep inboxes drain whole via an ``observe_many`` block scan;
+        initialized kernels are grouped by ``(n, k)`` and their quietness
+        decided in one stacked comparison; a session's first row, a
+        ``k = n`` session and a group of one advance one row individually.
+        All three lanes are bit-identical (see the module docstring).
         """
         t0 = self.metrics.clock()
         singles: list[_Session] = []
@@ -452,18 +430,9 @@ class SessionManager:
             if not session.pending:
                 continue
             stepper = session.stepper
-            if (
-                self.lookahead
-                and session.pending >= LOOKAHEAD_MIN_DEPTH
-                and getattr(stepper, "supports_lookahead", False)
-            ):
+            if self.lookahead and session.pending >= LOOKAHEAD_MIN_DEPTH:
                 deep.append(session)
-            elif (
-                self.batch
-                and getattr(stepper, "supports_batch", False)
-                and stepper.initialized
-                and not stepper.trivial
-            ):
+            elif self.batch and stepper.initialized and not stepper.trivial:
                 groups.setdefault((stepper.n, stepper.k), []).append(session)
             else:
                 singles.append(session)
@@ -475,7 +444,7 @@ class SessionManager:
             # initialization reset, which bypasses the handler).
             handlers_before = stepper.handler_calls
             had_init = not stepper.initialized
-            n_rows, _ = self._drain_session(session)
+            n_rows = self._drain_session(session)
             noisy = stepper.handler_calls - handlers_before + (1 if had_init else 0)
             quiet += n_rows - noisy
             looked += n_rows
@@ -515,27 +484,23 @@ class SessionManager:
                 return total
             total += processed
 
-    def _drain_session(self, session: _Session) -> tuple[int, bool]:
-        """Drain one session's whole inbox; returns ``(rows, lookahead?)``.
+    def _drain_session(self, session: _Session) -> int:
+        """Drain one session's whole inbox; returns the rows stepped.
 
-        Uses the stepper's lookahead ``observe_many`` when available (the
-        deep-inbox fast lane), else a per-row loop — the flag reports
-        which path actually ran, so metrics stay honest.
+        Uses the kernel's lookahead ``observe_many`` (the deep-inbox fast
+        lane), or a per-row loop under ``lookahead=False``.
         """
         count = session.pending
         if not count:
-            return 0, False
-        used_lookahead = self.lookahead and getattr(
-            session.stepper, "supports_lookahead", False
-        )
+            return 0
         block = session.pop_all()
-        if used_lookahead:
+        if self.lookahead:
             session.stepper.observe_many(block)
         else:
             for row in block:
                 session.stepper.step(row)
         self._dirty.add(session.session_id)
-        return count, used_lookahead
+        return count
 
     # -------------------------------------------------------------- queries
 
@@ -553,10 +518,6 @@ class SessionManager:
         Cheaper than :meth:`query` — the wire feed path calls this per row.
         """
         return self._get(session_id).stepper.time
-
-    def engine(self, session_id: str) -> str:
-        """Engine name a session runs on."""
-        return self._get(session_id).engine
 
     def total_pending(self) -> int:
         """Rows fed but not yet stepped, over all sessions."""
@@ -580,7 +541,7 @@ class SessionManager:
         """Service counters plus live-session aggregates."""
         return self.metrics.snapshot(
             sessions_live=len(self._sessions),
-            live_messages=sum(s.message_count for s in self._sessions.values()),
+            live_messages=sum(s.stepper.message_count for s in self._sessions.values()),
         )
 
     # ----------------------------------------------------------- migration
@@ -589,7 +550,7 @@ class SessionManager:
         """Detach one live session as a portable checkpoint payload.
 
         The payload has the same schema as a checkpoint file (engine name,
-        codec state snapshot, carried message total, pending inbox) and is
+        kernel snapshot, message total, pending inbox) and is
         bit-identically re-hostable anywhere via :meth:`import_session` —
         the primitive behind live session migration in the fleet router
         (:mod:`repro.service.fleet`).  The session is removed from this
@@ -599,8 +560,6 @@ class SessionManager:
         ------
         ServiceError
             For an unknown session id.
-        ConfigurationError
-            If the session's engine registered no checkpoint codec.
         """
         session = self._get(session_id)
         payload = self._session_payload(session)
@@ -621,8 +580,8 @@ class SessionManager:
         ------
         ConfigurationError
             For an unsupported schema, an invalid or duplicate session id,
-            an engine this process does not have registered, or a pending
-            inbox that is not a ``(B, n)`` integer batch.
+            an engine other than :data:`SESSION_ENGINE`, or a pending inbox
+            that is not a ``(B, n)`` integer batch.
         """
         if not isinstance(payload, dict) or payload.get("schema") != _CHECKPOINT_SCHEMA:
             raise ConfigurationError(
@@ -641,13 +600,12 @@ class SessionManager:
 
     def _session_payload(self, session: _Session) -> dict:
         """The JSON-safe checkpoint/migration form of one live session."""
-        snapshot, _ = get_session_codec(session.engine)
         return {
             "schema": _CHECKPOINT_SCHEMA,
             "session": session.session_id,
-            "engine": session.engine,
-            "messages": session.message_count,
-            "state": snapshot(session.stepper),
+            "engine": SESSION_ENGINE,
+            "messages": session.stepper.message_count,
+            "state": session.stepper.snapshot(),
             "inbox": [row for block in session.inbox for row in block.tolist()],
         }
 
@@ -658,18 +616,19 @@ class SessionManager:
         Raises
         ------
         ConfigurationError
-            If the payload's pending inbox is not a ``(B, n)`` integer
+            If the payload names an engine other than
+            :data:`SESSION_ENGINE` (a session of another engine cannot be
+            hosted), or if its pending inbox is not a ``(B, n)`` integer
             batch — refused here, naming the session, rather than by the
             first sweep that reaches it.
         """
-        engine = data["engine"]
-        get_engine(engine)  # fail with the registry's error if unknown
-        _, restore = get_session_codec(engine)
-        stepper = restore(data["state"])
-        # Steppers whose instrumentation restarts empty (the faithful
-        # ledger) carry their pre-checkpoint total as a base offset.
-        base = int(data["messages"]) - stepper.message_count
-        session = _Session(session_id, engine, stepper, message_base=base)
+        if data.get("engine") != SESSION_ENGINE:
+            raise ConfigurationError(
+                f"session {session_id!r} runs engine {data.get('engine')!r}; "
+                f"only {SESSION_ENGINE!r} sessions can be hosted"
+            )
+        stepper = IncrementalKernel.from_snapshot(data["state"])
+        session = _Session(session_id, stepper)
         try:
             session.push(_as_block(data["inbox"], stepper.n))
         except ConfigurationError as exc:
@@ -681,8 +640,8 @@ class SessionManager:
     def checkpoint(self, directory: str | os.PathLike) -> int:
         """Persist every live session under ``directory``; returns the count.
 
-        One ``<session_id>.json`` per session (engine name, the engine
-        codec's state snapshot, carried message total, pending inbox rows)
+        One ``<session_id>.json`` per session (engine name, the kernel's
+        state snapshot, message total, pending inbox rows)
         plus a ``manager.json`` manifest.  Every file is written to a temp
         name and atomically renamed, so a kill mid-checkpoint leaves the
         previous checkpoint intact.  Writes are incremental: one listing
@@ -692,12 +651,6 @@ class SessionManager:
         every call that is not a no-op; then the files of closed sessions
         are pruned — only once no manifest names them — and the feed log,
         whose rows the session files now hold, is unlinked.
-
-        Raises
-        ------
-        ConfigurationError
-            If a live session's engine registered no session codec
-            (checkpointing would silently lose it).
         """
         directory = Path(directory)
         if self._log is None or directory != self._log.directory:
@@ -753,9 +706,10 @@ class SessionManager:
             collisions between two live fleets — use
             :meth:`import_session` to move individual sessions), if the
             directory holds no valid manifest, if a session file the
-            manifest lists is missing, if a session file's pending inbox is
-            not a ``(B, n)`` integer batch, or if a feed-log record skips
-            rows its session never received.
+            manifest lists is missing, names an engine other than
+            :data:`SESSION_ENGINE` or holds a pending inbox that is not a
+            ``(B, n)`` integer batch, or if a feed-log record skips rows
+            its session never received.
         """
         if self._sessions:
             raise ConfigurationError(
@@ -834,12 +788,12 @@ class SessionManager:
         stepper = session.stepper
         return SessionView(
             session_id=session.session_id,
-            engine=session.engine,
+            engine=SESSION_ENGINE,
             n=stepper.n,
             k=stepper.k,
             time=stepper.time,
             topk=tuple(int(i) for i in stepper.topk),
-            message_count=session.message_count,
+            message_count=stepper.message_count,
             pending=session.pending,
         )
 

@@ -12,13 +12,15 @@ accepted feed to the feed log in that directory before the feed is
 acknowledged (see :mod:`repro.service.manager`).  The server checkpoints
 every live session — via
 :meth:`repro.service.manager.SessionManager.checkpoint`, which compacts
-the log — after ``create``/``close``/``export``/``import``, on the
-explicit ``checkpoint`` op, on the timer, on clean shutdown, and when the
-stepper drains to idle with at least ``LOG_COMPACT_BYTES`` of log; on
-startup it restores the whole fleet from the directory, log included, if
-a checkpoint exists.  A SIGKILLed ``--serve`` process therefore resumes
-its sessions bit-identically with every acknowledged row.  Nothing is
-fsynced: the files survive a killed process, not a power loss.
+the log — once at startup, before it listens (so the directory holds a
+manifest before any request is answered), after
+``create``/``close``/``export``/``import``, on the explicit ``checkpoint``
+op, on the timer, on clean shutdown, and when the stepper drains to idle
+with at least ``LOG_COMPACT_BYTES`` of log; on startup it first restores
+the whole fleet from the directory, log included, if a checkpoint
+exists.  A SIGKILLed ``--serve`` process therefore resumes its sessions
+bit-identically with every acknowledged row.  Nothing is fsynced: the
+files survive a killed process, not a power loss.
 
 Concurrency model: all manager access happens on the event-loop thread.
 Feeds enqueue rows and wake the single *stepper task*, which sweeps the
@@ -44,7 +46,12 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError, ServiceError
 from repro.obs import OBS, RECORDER, obs_payload
-from repro.service.manager import DEFAULT_INBOX_LIMIT, DEFAULT_MAX_NODES, SessionManager
+from repro.service.manager import (
+    DEFAULT_INBOX_LIMIT,
+    DEFAULT_MAX_NODES,
+    SESSION_ENGINE,
+    SessionManager,
+)
 from repro.service.protocol import Frontend, ServingHandle, session_field
 
 __all__ = ["ServiceServer", "ServerHandle", "start_server"]
@@ -124,6 +131,9 @@ class ServiceServer(Frontend):
         self._work = asyncio.Event()
         self._progress = asyncio.Event()
         self._stopped = asyncio.Event()
+        # A directory with a manifest can be restored, so a fleet standby
+        # can take over this server even before its first create.
+        self._checkpoint()
         await self._listen()
         self._stepper_task = asyncio.create_task(self._stepper())
         if self.checkpoint_interval is not None and self.checkpoint_dir is not None:
@@ -208,15 +218,20 @@ class ServiceServer(Frontend):
     # ------------------------------------------------------------------ ops
 
     def _op_create(self, request: dict) -> dict:
+        engine = request.get("engine")
+        if engine not in (None, SESSION_ENGINE):
+            raise ConfigurationError(
+                f"engine {engine!r} cannot host a live session; "
+                f"every session runs the {SESSION_ENGINE!r} kernel"
+            )
         session_id = self.manager.create(
             int(request["n"]),
             int(request["k"]),
             seed=request.get("seed"),
-            engine=request.get("engine"),
             session_id=request.get("session"),
         )
         self._checkpoint()  # a created-but-unfed session must survive a kill
-        return {"session": session_id, "engine": self.manager.engine(session_id)}
+        return {"session": session_id, "engine": SESSION_ENGINE}
 
     def _op_feed(self, request: dict) -> dict:
         session_id = session_field(request)
@@ -290,7 +305,7 @@ class ServiceServer(Frontend):
         session_id = self.manager.import_session(payload)
         self._checkpoint()
         self._work.set()  # the imported inbox may hold pending rows
-        return {"session": session_id, "engine": self.manager.engine(session_id)}
+        return {"session": session_id, "engine": SESSION_ENGINE}
 
 
 def _op_obs(request: dict) -> dict:

@@ -1,9 +1,9 @@
 """Tests for session checkpoint / restore (bit-identical resumption).
 
-Covers both registered session codecs — the faithful
-:class:`OnlineSession` (via ``save_session``/``restore_session``) and the
-vectorized :class:`IncrementalKernel` (via ``snapshot``/``from_snapshot``)
-— plus the registry seam the streaming service drives them through.
+Covers both session codecs — the faithful :class:`OnlineSession` (via
+``save_session``/``restore_session``) and the counting
+:class:`IncrementalKernel` (via ``snapshot``/``from_snapshot``, the form
+the streaming service checkpoints).
 """
 
 import json
@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.checkpoint import restore_session, save_session
 from repro.core.monitor import MonitorConfig, OnlineSession
-from repro.engine.registry import get_engine, get_session_codec
 from repro.engine.vectorized import IncrementalKernel
 from repro.errors import ConfigurationError
 from repro.streams import random_walk
@@ -167,30 +166,3 @@ class TestKernelCheckpoint:
         state["schema"] = 99
         with pytest.raises(ConfigurationError):
             IncrementalKernel.from_snapshot(state)
-
-
-class TestRegistryCodecSeam:
-    def test_codecs_registered_for_streaming_engines(self):
-        for engine in ("faithful", "vectorized"):
-            snapshot, restore = get_session_codec(engine)
-            assert get_engine(engine).supports("checkpoint")
-            stepper = get_engine(engine).session_factory(6, 2, seed=3)
-            stepper.step(np.arange(6))
-            back = restore(json.loads(json.dumps(snapshot(stepper))))
-            assert back.topk.tolist() == stepper.topk.tolist()
-            assert back.time == stepper.time
-
-    def test_codec_missing_fails_loudly(self):
-        with pytest.raises(ConfigurationError, match="checkpoint"):
-            get_session_codec("fast")
-
-    def test_one_sided_codec_rejected(self):
-        from repro.engine.registry import register_engine
-
-        with pytest.raises(ConfigurationError, match="together"):
-            register_engine(
-                "half-codec",
-                description="broken",
-                runner=lambda *a, **k: None,
-                session_snapshot=lambda s: {},
-            )

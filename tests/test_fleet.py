@@ -176,9 +176,8 @@ class TestFleetDifferential:
         cases = {}
         for i, name in enumerate(list_workloads()):
             values = _matrix(name, seed=3 + i)
-            engine = "faithful" if i % 4 == 0 else "vectorized"
-            handle = client.create_session(n=N, k=K, seed=21 + i, engine=engine)
-            local.create(N, K, seed=21 + i, engine=engine, session_id=handle.id)
+            handle = client.create_session(n=N, k=K, seed=21 + i)
+            local.create(N, K, seed=21 + i, session_id=handle.id)
             cases[handle.id] = (name, values, handle, 21 + i)
 
         for t in range(STEPS):
@@ -552,6 +551,71 @@ class TestFleetFailover:
                 _assert_same({"twice": handle}, local)
                 assert client.fleet()["failovers"] == 2
 
+    def test_worker_killed_before_its_first_checkpoint_is_failed_over(self):
+        """A worker writes its manifest before it listens, so one killed
+        before any create or fan-out checkpoint still has a directory the
+        standby can restore."""
+        with start_fleet(workers=2, checkpoint_interval=60) as fleet:
+            fleet.kill_worker(0)
+            with ServiceClient(fleet.address, timeout=120) as client:
+                deadline = time.monotonic() + 60
+                while client.fleet()["failovers"] < 1:
+                    assert time.monotonic() < deadline, "the worker was never failed over"
+                    time.sleep(0.05)
+                rows = _matrix("random_walk", seed=6)
+                handle = client.create_session(n=N, k=K, seed=6)
+                handle.feed_rows(rows)
+                state = handle.query(wait=True)
+                offline = repro.run(repro.RunSpec(rows, k=K, seed=6, engine="vectorized"))
+                assert state["time"] == STEPS - 1
+                assert state["topk"] == offline.topk_history[-1].tolist()
+                assert state["messages"] == offline.total_messages
+                assert client.fleet()["failovers"] == 1
+
+    def test_close_during_a_live_rebalance(self):
+        """A session closed while a ``remove_worker`` waits for its lock is
+        skipped by the move: the removal finishes, counts only what moved,
+        and every other session answers bit-identically."""
+        rng = np.random.default_rng(67)
+        with start_fleet(workers=2, checkpoint_interval=60) as fleet:
+            with ServiceClient(fleet.address, timeout=120) as client:
+                local = SessionManager()
+                handles = {}
+                for i in range(8):
+                    handle = client.create_session(n=N, k=K, seed=1100 + i)
+                    local.create(N, K, seed=1100 + i, session_id=handle.id)
+                    handles[handle.id] = handle
+                    rows = rng.integers(0, 100, size=(10, N))
+                    handle.feed_rows(rows)
+                    local.feed_many(handle.id, rows)
+                router = fleet.router
+                victim = "s2"
+                slot = router._sessions[victim].slot
+                hosted = sum(1 for r in router._sessions.values() if r.slot == slot)
+
+                async def race():
+                    lock = router._sessions[victim].lock
+                    await lock.acquire()
+                    try:
+                        close = asyncio.create_task(
+                            router._op_close({"op": "close", "session": victim})
+                        )
+                        remove = asyncio.create_task(router.remove_worker(slot))
+                        await asyncio.sleep(0)  # both now wait behind the lock
+                    finally:
+                        lock.release()
+                    return await close, await remove
+
+                closed, moved = fleet._call(race())
+                assert closed["closed"] is True and closed["session"] == victim
+                assert moved == hosted - 1
+                assert slot not in {w["slot"] for w in fleet.workers()["workers"]}
+                with pytest.raises(ServiceError, match="unknown session"):
+                    handles.pop(victim).query()
+                local.close(victim)
+                assert sorted(client.session_ids()) == sorted(handles)
+                _assert_same(handles, local)
+
 
 class TestFleetLinks:
     """The router's pool of binary links to each worker."""
@@ -706,6 +770,34 @@ class TestFleetShutdown:
         finally:
             release.set()
             fleet.close()
+
+
+    def test_failed_failover_leaves_no_worker_running(self, tmp_path, capfd):
+        """A failover whose restore fails still shuts the fleet down, and
+        the standby it took is stopped too: no serving process outlives
+        ``close()``."""
+        root = tmp_path / "fleet"
+        before = _service_children()
+        fleet = start_fleet(workers=2, checkpoint_dir=str(root), checkpoint_interval=60)
+        try:
+            with ServiceClient(fleet.address) as client:
+                handle = client.create_session(n=N, k=K, seed=2)
+                handle.feed_rows(_matrix("random_walk", seed=2)[:10])
+            slot = HashRing(_pids(fleet)).lookup(batch_group(N, K, handle.id))
+            assert len(_service_children() - before) == 3  # two workers + standby
+            (root / slot / "manager.json").write_text('{"schema": 99}')
+            fleet.kill_worker(slot)
+            deadline = time.monotonic() + 60
+            while fleet._thread.is_alive():  # the failed failover stops the router
+                assert time.monotonic() < deadline, "the fleet outlived a failed failover"
+                time.sleep(0.05)
+        finally:
+            fleet.close()
+        assert f"failover of {slot} failed" in capfd.readouterr().err
+        deadline = time.monotonic() + 10
+        while _service_children() - before:
+            assert time.monotonic() < deadline, "a serving process outlived close()"
+            time.sleep(0.05)
 
 
 class TestFleetBinaryWire:

@@ -32,7 +32,7 @@ def rules_hit(source: str, relpath: str, *, select=None):
 
 class TestRegistry:
     def test_all_six_rules_registered(self):
-        assert [r.id for r in list_rules()] == ["R1", "R2", "R3", "R4", "R5"]
+        assert [r.id for r in list_rules()] == ["R1", "R2", "R4", "R5"]
         for rule in list_rules():
             assert rule.slug and rule.summary and rule.rationale
 
@@ -156,43 +156,6 @@ class TestR2Determinism:
         (the client's reconnect jitter is deliberately wall-clock-ish)."""
         src = "import time\n\ndef f():\n    return time.time()\n"
         assert findings_for(src, "repro/service/client.py", select=["R2"]) == []
-
-
-class TestR3RegistryContract:
-    def _register(self, caps: str, seams: str) -> str:
-        return (
-            "from repro.engine.registry import register_engine, "
-            "CAP_TRAJECTORY, CAP_STREAMING, CAP_CHECKPOINT\n\n"
-            "register_engine('x', description='d', "
-            f"capabilities={caps}, runner=None{seams})\n"
-        )
-
-    def test_streaming_claim_without_factory(self):
-        src = self._register("{CAP_TRAJECTORY, CAP_STREAMING}", "")
-        assert rules_hit(src, "repro/engine/custom.py") == ["R3"]
-
-    def test_factory_without_streaming_claim(self):
-        src = self._register("{CAP_TRAJECTORY}", ", session_factory=make")
-        assert rules_hit(src, "repro/engine/custom.py") == ["R3"]
-
-    def test_checkpoint_claim_without_codec(self):
-        src = self._register(
-            "{CAP_STREAMING, CAP_CHECKPOINT}", ", session_factory=make"
-        )
-        assert rules_hit(src, "repro/engine/custom.py") == ["R3"]
-
-    def test_consistent_registration_ok(self):
-        src = self._register(
-            "{CAP_STREAMING, CAP_CHECKPOINT}",
-            ", session_factory=make, session_snapshot=snap, session_restore=rest",
-        )
-        assert findings_for(src, "repro/engine/custom.py") == []
-
-    def test_real_engine_modules_consistent(self):
-        for name in ("vectorized.py", "faithful.py"):
-            path = REPO_ROOT / "src" / "repro" / "engine" / name
-            source = path.read_text()
-            assert check_source(source, f"repro/engine/{name}", select=["R3"]) == [], name
 
 
 class TestR4AsyncHotpath:
@@ -396,7 +359,7 @@ class TestReporters:
         data = json.loads(render_json(self._report(tmp_path)))
         assert data["version"] == 1 and data["ok"] is False
         assert data["checked_files"] == 1
-        assert set(data["rules"]) == {"R1", "R2", "R3", "R4", "R5"}
+        assert set(data["rules"]) == {"R1", "R2", "R4", "R5"}
         (finding,) = data["findings"]
         assert finding["path"] == "repro/engine/mod.py"
         assert finding["line"] == 2 and finding["rule"] == "R1"
@@ -429,8 +392,9 @@ class TestCLIAndHead:
     def test_list_rules(self):
         proc = self._cli("--list-rules")
         assert proc.returncode == 0
-        for rule_id in ("R1", "R2", "R3", "R4", "R5"):
+        for rule_id in ("R1", "R2", "R4", "R5"):
             assert rule_id in proc.stdout
+        assert "R3" not in proc.stdout  # retired with the registry's session seams
 
     def test_missing_baseline_is_usage_error(self, tmp_path):
         proc = self._cli("--baseline", str(tmp_path / "nope.json"))

@@ -23,7 +23,7 @@ from concurrent.futures import wait as futures_wait
 import numpy as np
 import pytest
 
-from repro.errors import RegistryError
+from repro.errors import ConfigurationError, RegistryError
 from repro.obs import (
     OBS,
     RECORDER,
@@ -79,8 +79,11 @@ class TestRegistry:
         fam = counter("tobs_strict_total", "demo", ("kind",))
         with pytest.raises(RegistryError):
             fam.labels(wrong="x")
-        with pytest.raises(RegistryError):
+        with pytest.raises(RegistryError) as err:
             fam.labels()
+        # RegistryError stays catchable as ConfigurationError / ValueError.
+        assert isinstance(err.value, ConfigurationError)
+        assert isinstance(err.value, ValueError)
 
     def test_redeclare_idempotent_but_conflicts_raise(self, obs_state):
         first = gauge("tobs_gauge", "demo", ("node",))

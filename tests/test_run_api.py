@@ -13,10 +13,8 @@ from repro.api import RunSpec, run
 from repro.core.monitor import MonitorConfig
 from repro.engine.registry import (
     CAP_AUDIT,
-    CAP_CHECKPOINT,
     CAP_COUNTING,
     CAP_EVENTS,
-    CAP_STREAMING,
     CAP_TRAJECTORY,
     ENGINES,
     get_engine,
@@ -24,7 +22,7 @@ from repro.engine.registry import (
     register_engine,
 )
 from repro.engine.results import RunResult
-from repro.errors import ConfigurationError, RegistryError
+from repro.errors import ConfigurationError
 from repro.streams import get_workload
 
 ALL_ENGINES = ("faithful", "vectorized", "fast")
@@ -62,34 +60,6 @@ class TestEngineRegistry:
             register_engine(
                 "fast", description="dup", capabilities=(), runner=info.runner
             )
-
-    def test_streaming_claim_without_factory_rejected(self):
-        """A `streaming` capability is a promise the service acts on; an
-        engine that makes it without a session_factory must fail at the
-        registration site, not deep inside the service."""
-        with pytest.raises(RegistryError, match="session_factory") as err:
-            register_engine(
-                "phantom-stream",
-                description="claims streaming, has no factory",
-                capabilities={CAP_TRAJECTORY, CAP_STREAMING},
-                runner=lambda *a, **k: None,
-            )
-        assert "phantom-stream" not in ENGINES
-        assert "'streaming'" in str(err.value)
-        # RegistryError stays catchable as ConfigurationError / ValueError.
-        assert isinstance(err.value, ConfigurationError)
-        assert isinstance(err.value, ValueError)
-
-    def test_checkpoint_claim_without_codec_rejected(self):
-        with pytest.raises(RegistryError, match="session_snapshot/session_restore"):
-            register_engine(
-                "phantom-ckpt",
-                description="claims checkpoint, has no codec",
-                capabilities={CAP_TRAJECTORY, CAP_CHECKPOINT},
-                runner=lambda *a, **k: None,
-                session_factory=lambda *a, **k: None,
-            )
-        assert "phantom-ckpt" not in ENGINES
 
     def test_toy_engine_reachable_by_name(self, walk):
         """A self-registered engine needs no changes outside its own module."""

@@ -1,4 +1,4 @@
-"""The streaming session service (repro/service) and its kernel seam.
+"""The streaming session service (repro/service) and the kernel it hosts.
 
 The load-bearing invariant mirrors the engine differential tests: for any
 value sequence and seed,
@@ -6,7 +6,7 @@ value sequence and seed,
     OnlineSession.observe row-by-row
  == TopKMonitor.run over the full matrix
  == IncrementalKernel stepped row-by-row
- == SessionManager's batched stepping path (any session mix)
+ == SessionManager's stepping lanes (batched, lookahead, per-row)
 
 in top-k trajectory *and* message counts, on every catalog workload.
 """
@@ -26,15 +26,12 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.monitor import MonitorConfig, OnlineSession, TopKMonitor
-from repro.engine.registry import get_session_factory
+from repro.core.monitor import OnlineSession, TopKMonitor
 from repro.engine.vectorized import IncrementalKernel, _run_vectorized
 from repro.errors import BackpressureError, ConfigurationError, ServiceError
 from repro.service import ServiceClient, SessionManager, start_server
 from repro.service import manager as manager_module
 from repro.streams import get_workload, list_workloads
-
-STEPPING_ENGINES = ("vectorized", "faithful")
 
 N, K, STEPS = 10, 3, 120
 
@@ -56,20 +53,20 @@ class TestIncrementalKernel:
         assert kernel.time == STEPS - 1
 
     def test_streaming_sessions_stay_bounded_in_memory(self):
-        """Service-created steppers must not grow per-row state forever."""
+        """Kernels the service creates must not grow per-row state forever."""
         values = _matrix("random_walk")
-        kernel = get_session_factory("vectorized")(N, K, seed=4)
-        online = get_session_factory("faithful")(N, K, seed=4)
+        mgr = SessionManager()
+        sid = mgr.create(N, K, seed=4)
+        kernel = mgr._sessions[sid].stepper
+        assert isinstance(kernel, IncrementalKernel)
         for row in values:
-            kernel.step(row)
-            online.step(row)
+            mgr.feed(sid, row)
+            mgr.step()
         assert kernel.resets > 0 and kernel.reset_times == []
         assert kernel.handler_calls > 0 and kernel.handler_times == []
-        assert online.events == []  # collect_events off by default
         # ...while counters still agree with the instrumented run.
         offline = TopKMonitor(n=N, k=K, seed=4).run(values)
         assert kernel.message_count == offline.total_messages
-        assert online.message_count == offline.total_messages
 
     def test_quiet_step_is_exact(self):
         """Externally proven-quiet steps may skip the per-step logic."""
@@ -102,18 +99,6 @@ class TestIncrementalKernel:
         assert kernel.step([5, 1, 9]).tolist() == [0, 1, 2]
         assert kernel.message_count == 0
 
-    def test_session_factory_seam(self):
-        stepper = get_session_factory("vectorized")(N, K, seed=1)
-        assert isinstance(stepper, IncrementalKernel)
-        stepper = get_session_factory("faithful")(N, K, seed=1)
-        assert isinstance(stepper, OnlineSession)
-        with pytest.raises(ConfigurationError, match="streaming"):
-            get_session_factory("fast")
-
-    def test_factory_rejects_unsupported_config(self):
-        with pytest.raises(ConfigurationError, match="audit"):
-            get_session_factory("vectorized")(N, K, seed=1, config=MonitorConfig(audit=True))
-
 
 class TestDifferentialCatalog:
     """Satellite: bit-identity across the whole workload catalog."""
@@ -129,13 +114,13 @@ class TestDifferentialCatalog:
 
     def test_batched_service_matches_both_engines(self):
         """One manager hosting every catalog workload at once, stepped in
-        batched sweeps, equals the offline run session by session."""
+        batched sweeps, equals the offline faithful and vectorized runs
+        session by session."""
         mgr = SessionManager()
         cases = {}
         for i, name in enumerate(list_workloads()):
             values = _matrix(name, seed=3 + i)
-            engine = "faithful" if i % 4 == 0 else "vectorized"  # mixed group
-            sid = mgr.create(N, K, seed=21 + i, engine=engine)
+            sid = mgr.create(N, K, seed=21 + i)
             cases[sid] = (name, values, 21 + i)
         histories = {sid: [] for sid in cases}
         for t in range(STEPS):
@@ -148,9 +133,10 @@ class TestDifferentialCatalog:
         assert snap.rows_batched > 0, "the batched path never engaged"
         assert snap.rows_quiet > 0, "no session ever took the quiet lane"
         for sid, (name, values, seed) in cases.items():
-            offline = TopKMonitor(n=N, k=K, seed=seed).run(values)
-            assert np.array_equal(np.array(histories[sid]), offline.topk_history), name
-            assert mgr.query(sid).message_count == offline.total_messages, name
+            for engine in ("faithful", "vectorized"):
+                offline = repro.run(repro.RunSpec(values, k=K, seed=seed, engine=engine))
+                assert np.array_equal(np.array(histories[sid]), offline.topk_history), name
+                assert mgr.query(sid).message_count == offline.total_messages, name
 
     def test_batch_flag_is_pure_transport(self):
         """batch=True/False give identical results under bursty feeding."""
@@ -288,38 +274,36 @@ class TestManagerCheckpoint:
     def test_restore_resumes_bit_identically(self, name, tmp_path):
         """Checkpoint live sessions mid-stream, restore into a fresh
         manager, and drive the rest: the top-k trajectory and message
-        counts must equal the uninterrupted run, for both engines."""
+        counts must equal the uninterrupted run, session by session."""
         values = _matrix(name, seed=17)
         cut = STEPS // 2
-        trajectories = {e: [] for e in STEPPING_ENGINES}
-        counts = {}
+        seeds = {"a": 33, "b": 34}  # one batch group of two
+        trajectories = {sid: [] for sid in seeds}
 
         mgr = SessionManager()
-        for engine in STEPPING_ENGINES:
-            mgr.create(N, K, seed=33, engine=engine, session_id=engine)
+        for sid, seed in seeds.items():
+            mgr.create(N, K, seed=seed, session_id=sid)
         for t in range(cut):
-            for engine in STEPPING_ENGINES:
-                mgr.feed(engine, values[t])
+            for sid in seeds:
+                mgr.feed(sid, values[t])
             mgr.step()
-            for engine in STEPPING_ENGINES:
-                trajectories[engine].append(mgr.query(engine).topk)
-        assert mgr.checkpoint(tmp_path) == len(STEPPING_ENGINES)
+            for sid in seeds:
+                trajectories[sid].append(mgr.query(sid).topk)
+        assert mgr.checkpoint(tmp_path) == len(seeds)
 
         restored = SessionManager(restore=tmp_path)
-        assert restored.session_ids() == sorted(STEPPING_ENGINES)
+        assert restored.session_ids() == sorted(seeds)
         for t in range(cut, STEPS):
-            for engine in STEPPING_ENGINES:
-                restored.feed(engine, values[t])
+            for sid in seeds:
+                restored.feed(sid, values[t])
             restored.step()
-            for engine in STEPPING_ENGINES:
-                trajectories[engine].append(restored.query(engine).topk)
-        for engine in STEPPING_ENGINES:
-            counts[engine] = restored.query(engine).message_count
+            for sid in seeds:
+                trajectories[sid].append(restored.query(sid).topk)
 
-        offline = TopKMonitor(n=N, k=K, seed=33).run(values)
-        for engine in STEPPING_ENGINES:
-            assert np.array_equal(np.array(trajectories[engine]), offline.topk_history), engine
-            assert counts[engine] == offline.total_messages, engine
+        for sid, seed in seeds.items():
+            offline = TopKMonitor(n=N, k=K, seed=seed).run(values)
+            assert np.array_equal(np.array(trajectories[sid]), offline.topk_history), sid
+            assert restored.query(sid).message_count == offline.total_messages, sid
 
     def test_pending_inbox_survives_the_checkpoint(self, tmp_path):
         values = _matrix("random_walk", seed=3)
@@ -389,6 +373,23 @@ class TestManagerCheckpoint:
         with pytest.raises(ConfigurationError, match=f"session '{sid}'"):
             SessionManager(restore=tmp_path)
         with pytest.raises(ConfigurationError, match=f"session '{sid}'"):
+            SessionManager().import_session(data)
+
+    def test_other_engine_is_refused_at_restore(self, tmp_path):
+        """Every session is the vectorized kernel: a session file or an
+        import payload naming another engine fails naming the session."""
+        mgr = SessionManager()
+        sid = mgr.create(4, 2, seed=1)
+        mgr.feed(sid, [4, 3, 2, 1])
+        mgr.checkpoint(tmp_path)
+        path = tmp_path / f"{sid}.json"
+        data = json.loads(path.read_text())
+        assert data["engine"] == "vectorized"
+        data["engine"] = "faithful"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match=f"session '{sid}'.*'faithful'"):
+            SessionManager(restore=tmp_path)
+        with pytest.raises(ConfigurationError, match=f"session '{sid}'.*'faithful'"):
             SessionManager().import_session(data)
 
     def test_checkpoint_rewrites_only_changed_files(self, tmp_path):
@@ -718,11 +719,6 @@ class TestManagerCheckpoint:
         mgr.close(sid)
         assert mgr.metrics_snapshot().rows_lookahead == 0
         mgr = SessionManager()
-        sid = mgr.create(4, 2, seed=0, engine="faithful")  # no observe_many lane
-        mgr.feed_many(sid, rows)
-        mgr.close(sid)
-        assert mgr.metrics_snapshot().rows_lookahead == 0
-        mgr = SessionManager()
         sid = mgr.create(4, 2, seed=0)
         mgr.feed_many(sid, rows)
         mgr.close(sid)
@@ -817,10 +813,6 @@ class TestSessionManager:
         mgr.drain()
         assert mgr.query(sid).time == 1
         assert mgr.query(sid).topk == (0, 3)
-
-    def test_rejects_non_streaming_default_engine(self):
-        with pytest.raises(ConfigurationError, match="streaming"):
-            SessionManager(default_engine="fast")
 
     def test_rejects_bad_inbox_limit(self):
         with pytest.raises(ConfigurationError):

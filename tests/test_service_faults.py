@@ -119,6 +119,11 @@ class TestGarbageFrames:
         assert replies[1] == {"ok": False, "error": "unknown op {'x': 1}", "code": "error"}
         assert replies[2]["ok"] is True
 
+    def test_create_naming_another_engine_is_refused(self, front):
+        """Every session is the vectorized kernel: a create naming any
+        other engine answers bad_request and creates nothing."""
+        _check_engine_refusal(lambda requests: _raw_exchange(front.address, requests))
+
     def test_handler_bug_fails_the_request_not_the_server(self, capfd):
         """An exception escaping an op handler answers code="internal"."""
 
@@ -163,6 +168,25 @@ def _binary_handshake(sock):
     reply = json.loads(fh.readline())
     assert reply["ok"] is True and reply["wire"] == "binary"
     return fh
+
+
+def _check_engine_refusal(exchange) -> None:
+    """Creates naming ``faithful`` or ``fast`` answer bad_request and leave
+    the session list as it was; ``vectorized`` or no engine both create."""
+    create = {"op": "create", "n": N, "k": K}
+    replies = exchange([
+        {"op": "sessions"},
+        {**create, "engine": "faithful"},
+        {**create, "engine": "fast"},
+        {"op": "sessions"},
+    ])
+    for reply, engine in zip(replies[1:3], ("faithful", "fast")):
+        assert reply["ok"] is False and reply["code"] == "bad_request", reply
+        assert repr(engine) in reply["error"]
+    assert replies[3]["sessions"] == replies[0]["sessions"]
+    replies = exchange([{**create, "engine": "vectorized"}, create])
+    assert [(r["ok"], r["engine"]) for r in replies] == [(True, "vectorized")] * 2
+    exchange([{"op": "close", "session": r["session"]} for r in replies])
 
 
 def _header(kind: int, length: int, magic: int = wire.MAGIC) -> bytes:
@@ -238,6 +262,21 @@ class TestBinaryFraming:
                 fh.flush()
                 kind, payload = wire.read_frame_blocking(fh)
                 assert wire.decode_reply(kind, payload)["ok"] is True
+
+    def test_create_naming_another_engine_is_refused(self, front):
+        """The engine refusal answers the same over binary frames."""
+
+        def exchange(requests):
+            with socket.create_connection(tuple(front.address), timeout=10) as sock:
+                fh = _binary_handshake(sock)
+                replies = []
+                for request in requests:
+                    fh.write(wire.encode_json(request))
+                    fh.flush()
+                    replies.append(wire.decode_reply(*wire.read_frame_blocking(fh)))
+                return replies
+
+        _check_engine_refusal(exchange)
 
     def test_mid_frame_disconnect_contained(self, front):
         with socket.create_connection(tuple(front.address), timeout=10) as sock:
