@@ -432,15 +432,9 @@ def _wire_streams() -> list[np.ndarray]:
     ]
 
 
-def _drive_wire_once(
-    address, streams: list[np.ndarray], wire_mode: str, *,
-    push_linger: float = 0.0, push_max: int = 128, per_row: bool = False,
-) -> list[dict]:
+def _drive_wire_once(address, streams: list[np.ndarray], wire_mode: str) -> list[dict]:
     """One full lifecycle (create, feed, drain-barrier, close) per round."""
-    client = ServiceClient(
-        address, timeout=120, wire=wire_mode, push_linger=push_linger,
-        push_max=push_max,
-    )
+    client = ServiceClient(address, timeout=120, wire=wire_mode)
     assert client.negotiated_wire == wire_mode
     try:
         handles = [
@@ -448,12 +442,7 @@ def _drive_wire_once(
             for i in range(len(streams))
         ]
         for handle, values in zip(handles, streams):
-            if per_row:
-                for row in values:
-                    handle.feed(row)
-                handle.flush()
-            else:
-                handle.feed_rows(values)
+            handle.feed_rows(values)
         finals = [handle.query(wait=True) for handle in handles]
         for handle in handles:
             handle.close()
@@ -462,12 +451,12 @@ def _drive_wire_once(
         client.close()
 
 
-def _bench_wire(benchmark, wire_mode: str, **drive_kwargs) -> None:
+def _bench_wire(benchmark, wire_mode: str) -> None:
     streams = _wire_streams()
     with repro.serve() as server:
         finals = benchmark.pedantic(
             _drive_wire_once, args=(server.address, streams, wire_mode),
-            kwargs=drive_kwargs, rounds=3, iterations=1,
+            rounds=3, iterations=1,
         )
         with ServiceClient(server.address) as probe:
             assert probe.metrics()["wire_rows_per_sec"] > 0
@@ -487,11 +476,3 @@ def test_wire_drain_jsonl(benchmark):
 def test_wire_drain_binary(benchmark):
     """End-to-end twin, packed frames: same drive, binary negotiated."""
     _bench_wire(benchmark, "binary")
-
-
-def test_wire_push_batched_binary(benchmark):
-    """Client-side push batching: per-row feeds coalesced into one packed
-    frame per linger window — the row-by-row gateway's fast path."""
-    _bench_wire(
-        benchmark, "binary", per_row=True, push_linger=0.5, push_max=WIRE_ROWS
-    )

@@ -231,7 +231,7 @@ def connect(address, **options):
     options:
         Forwarded to :class:`~repro.service.client.ServiceClient`
         (``timeout``, ``retry``, ``wire="binary"`` for the packed frame
-        protocol, ``push_linger``/``push_max`` for client-side batching).
+        protocol).
 
     Returns
     -------

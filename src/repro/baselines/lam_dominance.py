@@ -23,8 +23,6 @@ Algorithm 1 (and OPT) stay silent.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from repro.core.events import MonitorResult, valid_topk_set
@@ -137,10 +135,3 @@ class DominanceTrackingMonitor:
         old_lo, old_hi = DominanceTrackingMonitor._intervals_of(old_bounds, old_order, n)
         new_lo, new_hi = DominanceTrackingMonitor._intervals_of(new_bounds, new_order, n)
         return int(np.count_nonzero((old_lo != new_lo) | (old_hi != new_hi)))
-
-    @staticmethod
-    def boundary_of(est: np.ndarray, rank: int) -> Fraction:
-        """Exact midpoint boundary below ``rank`` (diagnostics)."""
-        order = DominanceTrackingMonitor._sort(np.asarray(est, dtype=np.int64))
-        ranked = np.asarray(est, dtype=np.int64)[order]
-        return Fraction(int(ranked[rank]) + int(ranked[rank + 1]), 2)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.records import expected_records, records_in
+from repro.analysis.records import expected_records
 from repro.analysis.stats import summarize
 from repro.baselines.sequential_max import sequential_max
 from repro.core.protocols import maximum_protocol
@@ -90,12 +90,3 @@ def run(scale: str = "default") -> ExperimentOutput:
         proto_series[-1] / h_series[-1] <= proto_series[0] / h_series[0] * 1.5,
     )
     return out
-
-
-def records_sanity(n: int, reps: int, seed: int) -> float:
-    """Mean records of random permutations (used by unit tests)."""
-    rng = derive_rng(seed, 0)
-    total = 0
-    for _ in range(reps):
-        total += records_in(rng.permutation(n))
-    return total / reps

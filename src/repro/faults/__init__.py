@@ -2,10 +2,8 @@
 
 This package turns the perfect carriers of the simulation into a
 configurable hostile world, described once by a seeded
-:class:`~repro.faults.plan.FaultPlan` and consumed at three layers:
+:class:`~repro.faults.plan.FaultPlan` and consumed at two layers:
 
-* model layer — :class:`~repro.faults.transport.FaultyTransport` wraps
-  any :class:`~repro.model.transport.Transport`;
 * distributed layer — :class:`~repro.faults.runtime.FaultyRuntime` /
   :func:`~repro.faults.runtime.run_faulty` clock full monitoring runs
   with drops, delays, duplicates, crash/recovery and in-filter liars;
@@ -28,11 +26,9 @@ from repro.faults.plan import (
     FaultPlan,
     FaultStats,
     LinkFaults,
-    describe_profiles,
     fault_profile,
 )
 from repro.faults.runtime import FaultyResult, FaultyRuntime, run_faulty, topk_error_count
-from repro.faults.transport import FaultyTransport
 
 __all__ = [
     "AdversaryReport",
@@ -43,10 +39,8 @@ __all__ = [
     "FaultStats",
     "FaultyResult",
     "FaultyRuntime",
-    "FaultyTransport",
     "LinkFaults",
     "adversary_search",
-    "describe_profiles",
     "fault_profile",
     "lie",
     "plan_strategy",

@@ -3,8 +3,6 @@
 A :class:`FaultPlan` is the single description of a hostile network that
 every fault-injection surface consumes:
 
-* :class:`repro.faults.transport.FaultyTransport` applies it at the
-  message level (model layer),
 * :class:`repro.faults.runtime.FaultyRuntime` applies it at the round
   level (distributed layer), including node crash/recovery windows and
   Byzantine senders,
@@ -22,7 +20,6 @@ bit-identical to the clean code (the differential tests enforce it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterable
 
 import numpy as np
 
@@ -49,20 +46,17 @@ class LinkFaults:
     """Per-message fault probabilities for one direction of a link.
 
     ``drop``/``duplicate``/``delay`` are independent per-message coin
-    weights; a delayed message arrives up to ``max_delay`` rounds (runtime)
-    or steps (transport) late, which is also how reordering arises —
-    ``reorder`` additionally shuffles same-instant deliveries in the
-    model-layer transport.
+    weights; a delayed message arrives up to ``max_delay`` rounds late,
+    which is also how reordering arises.
     """
 
     drop: float = 0.0
     duplicate: float = 0.0
     delay: float = 0.0
     max_delay: int = 2
-    reorder: float = 0.0
 
     def __post_init__(self) -> None:
-        for f in ("drop", "duplicate", "delay", "reorder"):
+        for f in ("drop", "duplicate", "delay"):
             _check_prob(f, getattr(self, f))
         if self.max_delay < 1:
             raise ConfigurationError(f"max_delay must be >= 1, got {self.max_delay}")
@@ -70,7 +64,7 @@ class LinkFaults:
     @property
     def is_null(self) -> bool:
         """True when this link is perfect."""
-        return self.drop == self.duplicate == self.delay == self.reorder == 0.0
+        return self.drop == self.duplicate == self.delay == 0.0
 
     def fate(self, rng: np.random.Generator) -> tuple[int, int]:
         """Fate of one message on this link: ``(copies, delay)``.
@@ -188,12 +182,6 @@ class FaultPlan:
         """Ids of nodes dead at step ``t``."""
         return frozenset(w.node for w in self.crashes if w.down_at <= t < w.up_at)
 
-    def rejoiners(self, t: int) -> frozenset[int]:
-        """Ids of nodes whose crash window ends exactly at ``t`` (and that
-        no other window keeps down)."""
-        up = frozenset(w.node for w in self.crashes if w.up_at == t)
-        return up - self.down_set(t)
-
     def liars(self) -> dict[int, str]:
         """Byzantine assignment as a dict."""
         return dict(self.byzantine)
@@ -204,7 +192,7 @@ class FaultPlan:
         """Fate of one node → coordinator reply: ``(copies, delay)``.
 
         ``copies`` is 0 (dropped), 1 or 2 (duplicated); ``delay`` is in
-        rounds/steps and applies to every copy.  Scheduled ``drop_at``
+        rounds and applies to every copy.  Scheduled ``drop_at``
         entries force a drop without consuming randomness.
         """
         if (t, node) in self.drop_at:
@@ -219,7 +207,7 @@ class FaultPlan:
 
 @dataclass
 class FaultStats:
-    """What actually happened during one faulty run/transport lifetime."""
+    """What actually happened during one faulty run."""
 
     sent: int = 0
     dropped_uplink: int = 0
@@ -227,7 +215,6 @@ class FaultStats:
     duplicated: int = 0
     delayed: int = 0
     lost_in_flight: int = 0
-    reordered: int = 0
     crashes: int = 0
     resyncs: int = 0
     sweep_retries: int = 0
@@ -288,13 +275,3 @@ def fault_profile(
     raise ConfigurationError(
         f"unknown fault profile {name!r}; known: {', '.join(FAULT_PROFILES)}"
     )
-
-
-def describe_profiles() -> Iterable[tuple[str, str]]:
-    """``(name, one-line description)`` pairs for docs/CLI listings."""
-    return [
-        ("clean", "the null plan: no faults, bit-identical to the clean engines"),
-        ("lossy", "5% uplink drop, 2% duplication, 10% short delays, 3% missed broadcasts"),
-        ("chaotic", "15% drop, long delays, missed broadcasts, one mid-run node crash"),
-        ("byzantine", "mild loss plus a boundary-hugging in-filter liar on node 0"),
-    ]

@@ -19,12 +19,12 @@ Seeds must flow through :mod:`repro.util.seeding` (``derive_rng`` /
 ``SeedStream``), which is why ``util/`` itself is out of scope.
 
 Package-wide (not just the algorithmic subtrees), raw
-``time.perf_counter`` is confined to ``repro/obs/`` — which exports it as
-:data:`repro.obs.registry.clock` — and the ``repro/service/metrics.py``
-shim.  One clock source keeps timing instrumentation auditable: anything
-timed flows through the observability layer, so a timing read can never
-quietly become an input to protocol state.  Genuinely standalone timers
-waive the line with an explicit ``# reprolint: disable=R2`` and a reason.
+``time.perf_counter`` is confined to ``repro/obs/``, which exports it as
+:data:`repro.obs.registry.clock`.  One clock source keeps timing
+instrumentation auditable: anything timed flows through the
+observability layer, so a timing read can never quietly become an input
+to protocol state.  Genuinely standalone timers waive the line with an
+explicit ``# reprolint: disable=R2`` and a reason.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ _NUMPY_EXPLICIT = frozenset(
 #: deterministic; the module-global functions are not).
 _STDLIB_ALLOWED = frozenset({"random.Random"})
 
-#: The raw monotonic clock's only homes: the obs registry (exported as
-#: ``repro.obs.registry.clock``) and the service metrics shim.
-_CLOCK_HOMES = ("repro/obs/", "repro/service/metrics.py")
+#: The raw monotonic clock's only home: the obs layer (the registry
+#: exports it as ``repro.obs.registry.clock``).
+_CLOCK_HOMES = ("repro/obs/",)
 
 _CLOCK_FIX = (
     "use the sanctioned clock (from repro.obs.registry import clock) or waive "
@@ -147,7 +147,7 @@ register_rule(
     RULE_ID,
     slug=SLUG,
     summary="no wall clocks or unseeded/global RNGs in engine/core/faults/analysis/streams; "
-    "raw time.perf_counter confined to repro/obs/ (and the service metrics shim)",
+    "raw time.perf_counter confined to repro/obs/",
     rationale="bit-identical replay across engines, worker counts, and fault plans "
     "requires every stochastic draw to flow from an explicit seed",
     checker=_check,

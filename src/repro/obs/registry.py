@@ -18,8 +18,8 @@ Two hard rules keep this layer honest:
   ``benchmarks/bench_service.py``.
 * **The monotonic clock lives here.**  :data:`clock` is the package's one
   sanctioned ``time.perf_counter`` (reprolint R2 confines the raw call to
-  ``repro/obs/`` and the ``repro/service/metrics.py`` shim); every other
-  module that needs elapsed wall time imports this name.
+  ``repro/obs/``); every other module that needs elapsed wall time
+  imports this name.
 """
 
 from __future__ import annotations

@@ -54,7 +54,6 @@ from repro.service.fleet import (
     FleetHandle,
     FleetRouter,
     HashRing,
-    batch_group,
     start_fleet,
 )
 from repro.service.manager import (
@@ -79,7 +78,6 @@ __all__ = [
     "FleetHandle",
     "start_fleet",
     "HashRing",
-    "batch_group",
     "ServiceClient",
     "SessionHandle",
     "DEFAULT_INBOX_LIMIT",

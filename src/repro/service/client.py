@@ -35,11 +35,8 @@ Wire framing
 ``ServiceClient(wire="binary")`` negotiates the packed framing of
 :mod:`repro.service.wire` on every (re)connection via the ``hello`` op,
 falling back to JSONL transparently when the server declines — results
-are bit-identical either way.  ``push_linger`` adds client-side push
-batching: :meth:`SessionHandle.feed` buffers rows locally and coalesces
-them into one feed frame per linger window (or per ``push_max`` rows);
-any query/close flushes first, and flushed batches ride the same
-exactly-once resume path as direct feeds.
+are bit-identical either way.  :meth:`SessionHandle.feed` is one round
+trip per row; :meth:`SessionHandle.feed_rows` sends a whole batch in one.
 """
 
 from __future__ import annotations
@@ -130,13 +127,6 @@ class ServiceClient:
         connection via the ``hello`` op and silently falls back to JSONL
         when the server declines; ``negotiated_wire`` reports the mode
         the *current* connection actually speaks.
-    push_linger:
-        Seconds :meth:`SessionHandle.feed` may buffer pushed rows
-        client-side before coalescing them into one feed frame (0
-        disables batching — every ``feed`` is one round trip).
-    push_max:
-        Buffered-row cap per session that forces a flush regardless of
-        the linger window.
 
     Raises
     ------
@@ -151,22 +141,14 @@ class ServiceClient:
         timeout: float = 60.0,
         retry: RetryPolicy | None = None,
         wire: str = "jsonl",
-        push_linger: float = 0.0,
-        push_max: int = 128,
     ):
         if wire not in ("jsonl", "binary"):
             raise ServiceError(f"wire must be 'jsonl' or 'binary', got {wire!r}")
-        if push_linger < 0:
-            raise ServiceError(f"push_linger must be >= 0 seconds, got {push_linger}")
-        if push_max < 1:
-            raise ServiceError(f"push_max must be >= 1 row, got {push_max}")
         self._host, self._port = _parse_address(address)
         self._timeout = timeout
         self._retry = retry if retry is not None else RetryPolicy()
         self._wire = wire
         self._mode = "jsonl"  # what the *current* connection negotiated
-        self._push_linger = float(push_linger)
-        self._push_max = int(push_max)
         self._jitter_rng = random.Random(0x5EED ^ hash((self._host, self._port)))
         self._sock: socket.socket | None = None
         self._file = None
@@ -432,16 +414,6 @@ class SessionHandle:
         self._client = client
         self.id = session_id
         self._acked = acked
-        # Client-side push batching (``push_linger``): rows buffered here
-        # until the linger window or ``push_max`` coalesces them into one
-        # feed frame.  Flushes ride ``_feed_resumable``, so buffered rows
-        # keep the exactly-once guarantee across lost connections.
-        self._push_buf: list[list[int]] = []
-        self._push_deadline = 0.0
-
-    @staticmethod
-    def _rowlist(row) -> list[int]:
-        return np.asarray(row).tolist()
 
     @staticmethod
     def _received(reply: dict) -> int:
@@ -516,42 +488,12 @@ class SessionHandle:
         :class:`~repro.errors.BackpressureError` propagates.  A connection
         lost mid-feed is resumed exactly once over a fresh connection (see
         the class docstring).
-
-        With the client's ``push_linger`` set, the row may be buffered
-        locally instead of sent: the reply then carries ``"buffered":
-        true`` (and the buffer depth as ``"pending"``), and the batch
-        goes out as one frame when the linger window closes, the buffer
-        hits ``push_max``, or any query/close forces a flush.
         """
-        if self._client._push_linger > 0:
-            return self._push(self._rowlist(row), block)
-        return self._feed_resumable([self._rowlist(row)], block)
-
-    def _push(self, row: list, block: bool) -> dict:
-        now = _time.monotonic()
-        if not self._push_buf:
-            self._push_deadline = now + self._client._push_linger
-        self._push_buf.append(row)
-        if len(self._push_buf) >= self._client._push_max or now >= self._push_deadline:
-            return self.flush(block=block)
-        return {
-            "ok": True,
-            "buffered": True,
-            "pending": len(self._push_buf),
-            "time": (self._acked if self._acked is not None else 0) - 1,
-        }
-
-    def flush(self, *, block: bool = True) -> dict | None:
-        """Send any locally buffered pushes now (``None`` if buffer empty)."""
-        if not self._push_buf:
-            return None
-        rows, self._push_buf = self._push_buf, []
-        return self._feed_resumable(rows, block)
+        return self._feed_resumable([np.asarray(row).tolist()], block)
 
     def feed_rows(self, rows, *, block: bool = True) -> dict:
         """Push several rows in one round trip (same backpressure and
         resume-on-loss policy as :meth:`feed`)."""
-        self.flush(block=block)
         # The binary wire packs an integer batch as it is; any other batch,
         # or framing, carries it as JSON lists, so server-side validation
         # answers identically.
@@ -561,10 +503,8 @@ class SessionHandle:
         """Full state: time, top-k, message count, pending depth.
 
         ``wait=True`` parks until every fed row has been stepped, so the
-        answer reflects all of this handle's feeds (any locally buffered
-        pushes are flushed first).
+        answer reflects all of this handle's feeds.
         """
-        self.flush()
         return self._client.request("query", session=self.id, wait=wait)
 
     def topk(self, *, wait: bool = True) -> list[int]:
@@ -580,7 +520,5 @@ class SessionHandle:
         return self.query()["pending"]
 
     def close(self) -> dict:
-        """Close the server-side session; returns its final state (any
-        locally buffered pushes are flushed first)."""
-        self.flush()
+        """Close the server-side session; returns its final state."""
         return self._client.request("close", session=self.id)

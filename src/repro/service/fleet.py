@@ -5,15 +5,15 @@ connection layer as a single :class:`~repro.service.server.ServiceServer`
 (:class:`~repro.service.protocol.Frontend`: one wire protocol in both
 framings, one error envelope — clients cannot tell the difference) but
 hosts no sessions itself: its op table consistent-hashes each session's
-*batch group* onto one of N worker processes — each worker a full
+id onto one of N worker processes — each worker a full
 ``python -m repro.service --serve`` child with its own event loop,
 manager, and checkpoint directory.
 
-Why shard by batch group, not by session?  The manager's whole speedup is
-the stacked ``(n, k)`` sweep (:meth:`~repro.service.manager.SessionManager.step`):
-sessions of equal shape decide quietness in one comparison.  Routing by
-:func:`batch_group` keeps every member of a group *dense on one worker*,
-so a stacked sweep never splits across processes and the fleet stays
+Routing reads nothing but the session id.  A worker's stacked ``(n, k)``
+sweep (:meth:`~repro.service.manager.SessionManager.step`) groups every
+session of equal shape it hosts, so its width is the worker's share of
+that shape under any routing key, and hashing ids spreads each shape
+evenly.  Placement never changes an answer: every session is
 bit-identical to a single-process manager — the catalog differential in
 ``tests/test_fleet.py`` is the proof.
 
@@ -25,8 +25,8 @@ feed to the feed log there before acking it (see
 worker each ``checkpoint_interval`` to compact those logs.  A worker's ack
 therefore means its rows are on disk, and the router holds no copy of
 them.  It keeps one pre-spawned **hot standby** worker (empty, no
-checkpoint dir).  When a worker dies (SIGKILL, crash, ``FaultPlan``
-window) the monitor task promotes the standby: it restores the dead
+checkpoint dir).  When a worker dies (SIGKILL, crash, a hang past its
+deadline) the monitor task promotes the standby: it restores the dead
 worker's checkpoint directory, log included, via the ``restore`` wire op
 and adopts the directory.  A failover therefore loses *zero* acknowledged
 rows and *zero* sessions without any client-side involvement.
@@ -47,12 +47,6 @@ it on another, bit-identically (:meth:`FleetRouter.add_worker` /
 :meth:`FleetRouter.remove_worker`).  The router holds the exported
 payload until the import is acknowledged, so a move survives the death
 of either worker unless the source dies after detaching the session.
-
-Fault-layer composition: ``FleetRouter(fault_plan=plan)`` interprets the
-PR-6 :class:`~repro.faults.plan.CrashWindow` schedule against the fleet —
-``node`` picks the worker index (mod N) and ``down_at`` is seconds after
-start at which it is SIGKILLed; recovery *is* the standby failover, so
-``up_at`` needs no action.
 
 :func:`start_fleet` runs the router (and its workers) behind a daemon
 thread, through the same
@@ -90,6 +84,7 @@ from repro.service.manager import (
     DEFAULT_INBOX_LIMIT,
     _atomic_write,
     _check_session_id,
+    check_create,
 )
 from repro.service.protocol import (
     LINE_LIMIT,
@@ -104,19 +99,12 @@ __all__ = [
     "FleetRouter",
     "FleetHandle",
     "start_fleet",
-    "batch_group",
     "stable_hash",
-    "GROUP_SHARDS",
 ]
 
 #: Virtual nodes per ring slot: enough that removing one of four workers
-#: relocates ~1/4 of the groups instead of a contiguous arc.
-DEFAULT_RING_REPLICAS = 64
-
-#: Shards an ``(n, k)`` class is split into.  One giant class would pin
-#: the whole fleet to a single worker; sharding by session-id hash spreads
-#: it while every *group* (the stacked-sweep unit) stays whole.
-GROUP_SHARDS = 16
+#: relocates ~1/4 of the sessions instead of a contiguous arc.
+RING_REPLICAS = 64
 
 #: Seconds between router-driven fan-out checkpoints.
 DEFAULT_CHECKPOINT_INTERVAL = 0.5
@@ -172,30 +160,16 @@ def stable_hash(key: str) -> int:
     return int.from_bytes(hashlib.md5(key.encode()).digest()[:8], "big")
 
 
-def batch_group(n: int, k: int, session_id: str) -> str:
-    """Routing key of one session: its stacked-sweep group.
-
-    All sessions sharing a group land on one worker, so the manager's
-    ``(n, k)`` stacked quietness sweep stays dense; the
-    :data:`GROUP_SHARDS` shard keeps one popular shape from pinning the
-    whole fleet to a single worker.
-    """
-    return f"{int(n)}x{int(k)}/{stable_hash(session_id) % GROUP_SHARDS}"
-
-
 class HashRing:
     """Consistent-hash ring mapping string keys to named slots.
 
-    Each slot contributes ``replicas`` virtual points; a key belongs to
-    the first point at or clockwise of its own hash.  Removing a slot
-    relocates only the keys that mapped to it — the property the fleet's
-    rebalancing (and its hypothesis suite) relies on.
+    Each slot contributes :data:`RING_REPLICAS` virtual points; a key
+    belongs to the first point at or clockwise of its own hash.  Removing
+    a slot relocates only the keys that mapped to it — the property the
+    fleet's rebalancing (and its hypothesis suite) relies on.
     """
 
-    def __init__(self, slots=(), *, replicas: int = DEFAULT_RING_REPLICAS):
-        if replicas < 1:
-            raise ConfigurationError(f"ring replicas must be >= 1, got {replicas}")
-        self._replicas = replicas
+    def __init__(self, slots=()):
         self._slots: set[str] = set()
         self._points: list[tuple[int, str]] = []
         for slot in slots:
@@ -208,7 +182,7 @@ class HashRing:
         if slot in self._slots:
             raise ConfigurationError(f"slot {slot!r} is already on the ring")
         self._slots.add(slot)
-        for i in range(self._replicas):
+        for i in range(RING_REPLICAS):
             self._points.append((stable_hash(f"{slot}#{i}"), slot))
         self._points.sort()
 
@@ -261,10 +235,9 @@ class _SessionRoute:
     lost its reply can tell from it how many of its rows the worker holds.
     """
 
-    __slots__ = ("group", "slot", "received", "lock")
+    __slots__ = ("slot", "received", "lock")
 
-    def __init__(self, group: str, slot: str, *, received: int = 0):
-        self.group = group
+    def __init__(self, slot: str, *, received: int = 0):
         self.slot = slot
         self.received = received
         self.lock = asyncio.Lock()
@@ -397,11 +370,6 @@ class FleetRouter(Frontend):
         Seconds between the checkpoints the router fans out to every
         worker; each compacts the worker's feed log, which bounds the
         rows a failover's restore replays.  ``None`` fans out none.
-    fault_plan:
-        Optional PR-6 :class:`~repro.faults.plan.FaultPlan`; each
-        :class:`~repro.faults.plan.CrashWindow` SIGKILLs worker
-        ``node % workers`` at ``down_at`` seconds after start (recovery is
-        the standby failover itself, so ``up_at`` needs no action).
     """
 
     def __init__(
@@ -414,7 +382,6 @@ class FleetRouter(Frontend):
         batch_linger: float = 0.0,
         checkpoint_dir: "str | os.PathLike | None" = None,
         checkpoint_interval: float = DEFAULT_CHECKPOINT_INTERVAL,
-        fault_plan=None,
     ):
         if workers < 1:
             raise ConfigurationError(f"a fleet needs >= 1 worker, got {workers}")
@@ -437,7 +404,6 @@ class FleetRouter(Frontend):
         self.inbox_limit = inbox_limit
         self.batch_linger = batch_linger
         self.checkpoint_interval = checkpoint_interval
-        self.fault_plan = fault_plan
         self._given_root = Path(checkpoint_dir) if checkpoint_dir is not None else None
         self._root: Path | None = None
         self._owns_root = checkpoint_dir is None
@@ -457,7 +423,6 @@ class FleetRouter(Frontend):
         self._stopping = False
         self._monitors: list[asyncio.Task] = []
         self._timer_task: asyncio.Task | None = None
-        self._fault_task: asyncio.Task | None = None
         self._standby_task: asyncio.Task | None = None
 
     # ---------------------------------------------------------- lifecycle
@@ -487,8 +452,6 @@ class FleetRouter(Frontend):
         await self._listen()
         if self.checkpoint_interval is not None:
             self._timer_task = asyncio.create_task(self._checkpoint_timer())
-        if self.fault_plan is not None and getattr(self.fault_plan, "crashes", ()):
-            self._fault_task = asyncio.create_task(self._run_fault_plan())
         return self.address
 
     async def run_until_stopped(self) -> None:
@@ -496,7 +459,7 @@ class FleetRouter(Frontend):
         assert self._stopped is not None, "call start() first"
         await self._stopped.wait()
         self._stopping = True
-        for task in (self._timer_task, self._fault_task, self._standby_task, *self._monitors):
+        for task in (self._timer_task, self._standby_task, *self._monitors):
             if task is not None:
                 task.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
@@ -742,8 +705,8 @@ class FleetRouter(Frontend):
         """Write the session-id counter next to the worker checkpoint dirs.
 
         The workers' checkpoints hold every session, and each session's
-        group follows from its shape; the counter is all that only the
-        router knows, so a restarted router never hands out an id twice.
+        slot follows from its id; the counter is all that only the router
+        knows, so a restarted router never hands out an id twice.
         """
         _atomic_write(
             self._root / _ROUTES_FILE,
@@ -753,8 +716,8 @@ class FleetRouter(Frontend):
     def _load_next_id(self) -> None:
         """Resume the id counter of a previous run, if there was one.
 
-        A file from an earlier release also maps each session to its
-        group; the map is ignored, since the groups are recomputed.
+        A file from an earlier release also maps each session to a
+        routing group; the map is ignored, since sessions route by id.
         """
         path = self._root / _ROUTES_FILE
         if not path.exists():
@@ -769,8 +732,9 @@ class FleetRouter(Frontend):
     async def _rebuild_routes(self) -> None:
         """Re-adopt sessions the workers restored from their checkpoints.
 
-        Each worker reports what it hosts, and each session's group is
-        recomputed from its shape.
+        Each worker reports what it hosts and how many rows each session
+        holds.  A session not on its ring owner (the worker count changed,
+        or an earlier release placed it) moves in :meth:`_rebalance`.
         """
         found: list[tuple[str, _SessionRoute]] = []
         for slot, worker in self._workers.items():
@@ -783,8 +747,7 @@ class FleetRouter(Frontend):
                     raise ServiceError(
                         f"worker {slot} query of restored session {session_id} failed"
                     )
-                group = batch_group(view["n"], view["k"], session_id)
-                found.append((session_id, _SessionRoute(group, slot, received=_received(view))))
+                found.append((session_id, _SessionRoute(slot, received=_received(view))))
         # Stable adoption order: numeric for router-assigned ids, then name.
         def _order(item):
             sid = item[0]
@@ -817,31 +780,8 @@ class FleetRouter(Frontend):
             _OBS_INFLIGHT_ROWS.set(self._inflight_rows)
         return total
 
-    # ----------------------------------------------------- fault schedule
-
-    async def _run_fault_plan(self) -> None:
-        """SIGKILL workers on the plan's crash schedule (seconds scale)."""
-        start = _obs_clock()
-        for window in sorted(self.fault_plan.crashes, key=lambda w: w.down_at):
-            delay = window.down_at - (_obs_clock() - start)
-            if delay > 0:
-                await asyncio.sleep(delay)
-            if self._stopping:
-                return
-            slots = self._ordered_slots()
-            slot = slots[window.node % len(slots)]
-            worker = self._workers.get(slot)
-            if worker is None or slot in self._failing:
-                continue
-            print(f"fleet: fault plan kills {slot} (pid {worker.pid}) "
-                  f"at t={window.down_at}s", file=sys.stderr, flush=True)
-            if OBS.on:
-                _obs_recorder.record("fleet.kill", slot=slot, pid=worker.pid,
-                                     at=window.down_at)
-            worker.kill()
-
     def _ordered_slots(self) -> list[str]:
-        """Worker slots in stable (spawn) order — the fault plan's index space."""
+        """Worker slots in stable (spawn) order: :meth:`resolve_slot`'s index space."""
         def _key(slot: str):
             return (0, int(slot[1:])) if slot[1:].isdigit() else (1, slot)
         return sorted(self._workers, key=_key)
@@ -855,6 +795,11 @@ class FleetRouter(Frontend):
     # ------------------------------------------------------------------ ops
 
     async def _op_create(self, request: dict) -> dict:
+        # Refuse what any worker would refuse before an id is taken, so a
+        # refused create leaves the counter and router.json untouched.
+        # Routing reads only the session id.
+        check_create(int(request["n"]), int(request["k"]), seed=request.get("seed"),
+                     engine=request.get("engine"))
         session_id = request.get("session")
         if session_id is None:
             session_id = f"s{self._next_id}"
@@ -864,8 +809,7 @@ class FleetRouter(Frontend):
             _check_session_id(session_id)
         if session_id in self._sessions:
             raise ConfigurationError(f"session id {session_id!r} already exists")
-        group = batch_group(int(request["n"]), int(request["k"]), session_id)
-        slot = self._ring.lookup(group)
+        slot = self._ring.lookup(session_id)
         message = {"op": "create", "n": request["n"], "k": request["k"],
                    "session": session_id}
         for key in ("seed", "engine"):
@@ -884,7 +828,7 @@ class FleetRouter(Frontend):
         reply = await self._exchange(slot, message, created)
         if not reply.get("ok"):
             raise Forwarded(reply)
-        self._sessions[session_id] = _SessionRoute(group, slot)
+        self._sessions[session_id] = _SessionRoute(slot)
         return {"session": session_id, "engine": reply.get("engine")}
 
     async def _op_feed(self, request: dict) -> dict:
@@ -1084,7 +1028,7 @@ class FleetRouter(Frontend):
     async def add_worker(self) -> str:
         """Grow the fleet by one worker; sessions rebalance onto it live.
 
-        Returns the new slot name.  Only the groups the ring reassigns to
+        Returns the new slot name.  Only the sessions the ring reassigns to
         the new slot move (consistent hashing), each via the checkpoint
         codec's ``export``/``import`` pair — bit-identically, pending
         inbox included.
@@ -1119,7 +1063,7 @@ class FleetRouter(Frontend):
         """Move every session to its ring owner; returns how many moved."""
         moved = 0
         for session_id, route in list(self._sessions.items()):
-            target = self._ring.lookup(route.group)
+            target = self._ring.lookup(session_id)
             if target != route.slot:
                 moved += await self._migrate(session_id, route, target)
         return moved
@@ -1254,7 +1198,7 @@ def start_fleet(host: str = "127.0.0.1", port: int = 0, **options) -> FleetHandl
         it back from ``handle.address``).
     options:
         Forwarded to :class:`FleetRouter` (``workers``, ``inbox_limit``,
-        ``checkpoint_dir``, ``checkpoint_interval``, ``fault_plan``, ...).
+        ``batch_linger``, ``checkpoint_dir``, ``checkpoint_interval``).
 
     Raises
     ------

@@ -98,6 +98,8 @@ from repro.engine.kernel import violates_stacked
 from repro.engine.vectorized import IncrementalKernel
 from repro.errors import BackpressureError, ConfigurationError, ServiceError
 from repro.service.metrics import MetricsRecorder, MetricsSnapshot
+from repro.util.seeding import normalize_seed
+from repro.util.validation import check_k
 
 __all__ = [
     "SessionManager",
@@ -106,6 +108,7 @@ __all__ = [
     "DEFAULT_INBOX_LIMIT",
     "DEFAULT_MAX_NODES",
     "LOOKAHEAD_MIN_DEPTH",
+    "check_create",
 ]
 
 #: The engine name every session carries: replies, session files and
@@ -158,6 +161,36 @@ def _check_session_id(session_id: str) -> str:
             f"{_SESSION_ID_RE.pattern} and not be reserved ('manager')"
         )
     return session_id
+
+
+def check_create(n: int, k: int, *, seed=None, engine: str | None = None,
+                 max_nodes: int = DEFAULT_MAX_NODES) -> None:
+    """Refuse a create that cannot succeed, before anything is taken for it.
+
+    A create needs ``1 <= k <= n <= max_nodes``, a seed the kernel accepts,
+    and no ``engine`` but :data:`SESSION_ENGINE`.  The manager checks this
+    before it hands out a session id, the server for each ``create``
+    request, and a fleet router before it takes an id of its own (its
+    workers run with :data:`DEFAULT_MAX_NODES`), so a refused create
+    consumes no id anywhere.
+
+    Raises
+    ------
+    ConfigurationError
+        Naming the first precondition that fails.
+    """
+    if engine not in (None, SESSION_ENGINE):
+        raise ConfigurationError(
+            f"engine {engine!r} cannot host a live session; "
+            f"every session runs the {SESSION_ENGINE!r} kernel"
+        )
+    if not 1 <= n <= max_nodes:
+        raise ConfigurationError(
+            f"n must be in [1, {max_nodes}] (the manager's max_nodes cap), got {n}"
+        )
+    check_k(k, n)
+    if seed is not None:
+        normalize_seed(seed)
 
 
 @dataclass(frozen=True)
@@ -302,12 +335,10 @@ class SessionManager:
         Raises
         ------
         ConfigurationError
-            For invalid ``n``/``k`` or a duplicate ``session_id``.
+            For invalid ``n``/``k``/``seed`` (see :func:`check_create`; no
+            id is taken then) or a duplicate ``session_id``.
         """
-        if not 1 <= n <= self.max_nodes:
-            raise ConfigurationError(
-                f"n must be in [1, {self.max_nodes}] (the manager's max_nodes cap), got {n}"
-            )
+        check_create(n, k, seed=seed, max_nodes=self.max_nodes)
         if session_id is None:
             session_id = f"s{self._next_id}"
             self._next_id += 1

@@ -17,28 +17,22 @@ a near-empty window is visibly over a near-empty window.
 Since PR 9 this module is rebased onto the unified registry
 (:mod:`repro.obs.registry`): the recorder's families are declared there
 at import, every :meth:`MetricsRecorder.snapshot` publishes the current
-values into them when observability is on, and :data:`monotonic` is the
-sanctioned clock shim the manager times its sweeps with (reprolint R2
-confines raw ``time.perf_counter`` calls to ``repro/obs/`` and this
-file).
+values into them when observability is on, and a recorder times the
+manager's sweeps with the package's one clock,
+:data:`repro.obs.registry.clock` (reprolint R2 confines raw
+``time.perf_counter`` calls to ``repro/obs/``).
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.registry import OBS, gauge
+from repro.obs.registry import OBS, clock as _obs_clock, gauge
 
-__all__ = ["MetricsRecorder", "MetricsSnapshot", "aggregate_snapshots", "monotonic"]
-
-#: The manager's sweep-timing clock — the one allowed ``perf_counter``
-#: shim outside ``repro/obs/`` (kept here so a test can swap clocks on a
-#: recorder without reaching into ``repro.obs``).
-monotonic = time.perf_counter
+__all__ = ["MetricsRecorder", "MetricsSnapshot", "aggregate_snapshots"]
 
 #: Sweeps kept for the latency/throughput windows.
 _RESERVOIR = 4096
@@ -176,7 +170,7 @@ _OBS_GAUGES = {
 class MetricsRecorder:
     """Accumulates the counters behind :class:`MetricsSnapshot`."""
 
-    def __init__(self, clock=monotonic):
+    def __init__(self, clock=_obs_clock):
         self._clock = clock
         self._start = clock()
         self.sessions_created = 0

@@ -51,6 +51,7 @@ from repro.service.manager import (
     DEFAULT_MAX_NODES,
     SESSION_ENGINE,
     SessionManager,
+    check_create,
 )
 from repro.service.protocol import Frontend, ServingHandle, session_field
 
@@ -218,18 +219,10 @@ class ServiceServer(Frontend):
     # ------------------------------------------------------------------ ops
 
     def _op_create(self, request: dict) -> dict:
-        engine = request.get("engine")
-        if engine not in (None, SESSION_ENGINE):
-            raise ConfigurationError(
-                f"engine {engine!r} cannot host a live session; "
-                f"every session runs the {SESSION_ENGINE!r} kernel"
-            )
-        session_id = self.manager.create(
-            int(request["n"]),
-            int(request["k"]),
-            seed=request.get("seed"),
-            session_id=request.get("session"),
-        )
+        n, k, seed = int(request["n"]), int(request["k"]), request.get("seed")
+        check_create(n, k, seed=seed, engine=request.get("engine"),
+                     max_nodes=self.manager.max_nodes)
+        session_id = self.manager.create(n, k, seed=seed, session_id=request.get("session"))
         self._checkpoint()  # a created-but-unfed session must survive a kill
         return {"session": session_id, "engine": SESSION_ENGINE}
 

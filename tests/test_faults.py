@@ -1,4 +1,4 @@
-"""Fault-injection layer (repro/faults): plans, transports, runtime, liars.
+"""Fault-injection layer (repro/faults): plans, runtime, liars.
 
 The load-bearing invariant: with the fault layer disabled (null plan),
 every engine is bit-identical to the clean code — trajectory, ledger,
@@ -21,7 +21,6 @@ from repro.faults import (
     FAULT_PROFILES,
     CrashWindow,
     FaultPlan,
-    FaultyTransport,
     LinkFaults,
     adversary_search,
     fault_profile,
@@ -30,9 +29,7 @@ from repro.faults import (
     run_faulty,
     topk_error_count,
 )
-from repro.model.ledger import MessageLedger
-from repro.model.message import MessageKind, Phase
-from repro.model.transport import CountingTransport
+from repro.model.message import Phase
 from repro.streams import get_workload
 
 N, K, STEPS = 8, 3, 60
@@ -60,7 +57,6 @@ class TestFaultPlanValidation:
                 lambda: LinkFaults(drop=1.5),
                 lambda: LinkFaults(duplicate=2.0),
                 lambda: LinkFaults(delay=-1.0),
-                lambda: LinkFaults(reorder=1.01),
                 lambda: LinkFaults(max_delay=0),
             ]
         )
@@ -120,8 +116,6 @@ class TestFaultPlanValidation:
         assert plan.down_set(2) == {1}
         assert plan.down_set(4) == {1, 3}
         assert plan.down_set(5) == frozenset()
-        assert plan.rejoiners(5) == {1, 3}
-        assert plan.rejoiners(4) == frozenset()
 
     def test_profiles(self):
         assert fault_profile("clean").is_null
@@ -228,66 +222,6 @@ class TestTopkErrorCount:
         assert topk_error_count(history, values, 2) == 2
         history = np.array([[3, 2], [3, 4], [0, 1]])  # ok, out-of-range, wrong set
         assert topk_error_count(history, values, 2) == 2
-
-
-class TestFaultyTransport:
-    def _pump(self, plan: FaultPlan, sends: int = 200) -> FaultyTransport:
-        transport = FaultyTransport(plan)
-        for t in range(sends):
-            transport.set_time(t)
-            transport.node_to_coord(t % 4, t, Phase.VIOLATION_MIN)
-            if t % 3 == 0:
-                transport.broadcast(t, Phase.RESET_BROADCAST)
-        return transport
-
-    def test_null_plan_forwards_verbatim(self):
-        transport = self._pump(FaultPlan())
-        assert transport.stats.faults_injected == 0
-        assert transport.in_flight == 0
-        assert transport.ledger.total == transport.inner.ledger.total
-        assert transport.ledger.by_phase == transport.inner.ledger.by_phase
-
-    def test_lossy_accounting_identity(self):
-        """arrived == sent - drops - lost_in_flight, exactly."""
-        plan = FaultPlan(
-            seed=9,
-            uplink=LinkFaults(drop=0.2, duplicate=0.1, delay=0.3, max_delay=3, reorder=0.5),
-            downlink=LinkFaults(drop=0.15),
-        )
-        transport = self._pump(plan)
-        transport.flush_all()
-        stats = transport.stats
-        assert stats.dropped_uplink > 0 and stats.dropped_downlink > 0
-        assert stats.delayed > 0 and stats.duplicated > 0
-        assert stats.sent == transport.ledger.total
-        arrived = transport.inner.ledger.total
-        assert arrived == stats.sent - stats.dropped_uplink - stats.dropped_downlink
-
-    def test_drop_in_flight_loses_mail(self):
-        plan = FaultPlan(seed=9, uplink=LinkFaults(delay=1.0, max_delay=5))
-        transport = FaultyTransport(plan)
-        transport.set_time(0)
-        for i in range(10):
-            transport.node_to_coord(i % 4, i, Phase.VIOLATION_MIN)
-        assert transport.in_flight == 10
-        assert transport.drop_in_flight() == 10
-        assert transport.stats.lost_in_flight == 10
-        assert transport.inner.ledger.total == 0
-        assert transport.ledger.total == 10  # the sender still paid
-
-    def test_deterministic_for_fixed_plan(self):
-        plan = fault_profile("lossy", seed=5)
-        a, b = self._pump(plan), self._pump(plan)
-        a.flush_all(), b.flush_all()
-        assert a.stats.as_dict() == b.stats.as_dict()
-        assert a.inner.ledger.by_kind == b.inner.ledger.by_kind
-
-    def test_composes_with_custom_inner(self):
-        inner = CountingTransport(MessageLedger())
-        transport = FaultyTransport(FaultPlan(), inner=inner)
-        transport.set_time(0)
-        transport.coord_to_node(2, "x", Phase.HANDLER_MAX)
-        assert inner.ledger.by_kind[MessageKind.COORD_TO_NODE] == 1
 
 
 class TestAdversarySearch:

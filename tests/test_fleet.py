@@ -5,8 +5,8 @@ Two load-bearing claims, tested end-to-end:
 1. **Bit-identity**: a 4-worker fleet answers exactly like one
    single-process :class:`~repro.service.manager.SessionManager` — same
    top-k rows, same quietness decisions (visible as message counts), same
-   times — on every catalog workload, because routing by batch group
-   keeps each stacked-sweep group dense on one worker.
+   times — on every catalog workload, wherever the ring places each
+   session.
 2. **Kill-anything durability**: SIGKILLing a worker mid-stream loses
    zero sessions and zero rows; the standby restores its checkpoint
    directory and feed log, the router resends a feed lost in flight
@@ -38,7 +38,7 @@ from repro.core.monitor import TopKMonitor
 from repro.errors import ConfigurationError, ServiceError
 from repro.service import ServiceClient, SessionManager, start_fleet
 from repro.service import fleet as fleet_module
-from repro.service.fleet import GROUP_SHARDS, HashRing, batch_group, stable_hash
+from repro.service.fleet import HashRing, stable_hash
 from repro.streams import get_workload, list_workloads
 
 N, K, STEPS = 8, 3, 80
@@ -80,19 +80,9 @@ class TestHashRing:
         with pytest.raises(ConfigurationError):
             ring.remove("w0")  # never empty the ring
         with pytest.raises(ConfigurationError):
-            HashRing(replicas=0)
-        with pytest.raises(ConfigurationError):
             HashRing([""])
         with pytest.raises(ConfigurationError):
             HashRing().lookup("anything")
-
-    def test_batch_group_shape(self):
-        group = batch_group(12, 3, "s7")
-        prefix, _, shard = group.rpartition("/")
-        assert prefix == "12x3"
-        assert 0 <= int(shard) < GROUP_SHARDS
-        # Same shape, same shard -> same group (the affinity unit).
-        assert batch_group(12, 3, "s7") == group
 
     @given(ids=_ids(), workers=st.integers(min_value=1, max_value=8))
     @settings(max_examples=60, deadline=None)
@@ -100,9 +90,9 @@ class TestHashRing:
         """Property (a): lookup is total and single-valued over live slots."""
         ring = HashRing([f"w{i}" for i in range(workers)])
         for session_id in ids:
-            owner = ring.lookup(batch_group(N, K, session_id))
+            owner = ring.lookup(session_id)
             assert owner in ring.slots
-            assert owner == ring.lookup(batch_group(N, K, session_id))
+            assert owner == ring.lookup(session_id)
 
     @given(
         ids=_ids(),
@@ -115,40 +105,14 @@ class TestHashRing:
         slots = [f"w{i}" for i in range(workers)]
         gone = slots[victim % workers]
         ring = HashRing(slots)
-        before = {sid: ring.lookup(batch_group(N, K, sid)) for sid in ids}
+        before = {sid: ring.lookup(sid) for sid in ids}
         ring.remove(gone)
         for sid, owner in before.items():
-            after = ring.lookup(batch_group(N, K, sid))
+            after = ring.lookup(sid)
             if owner == gone:
                 assert after != gone  # relocated to a live worker
             else:
                 assert after == owner  # untouched
-
-    @given(
-        ids=_ids(draw_min=2),
-        ops=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=6),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_batch_group_affinity_survives_any_rebalance(self, ids, ops):
-        """Property (c): same group => same worker, after any add/remove mix."""
-        ring = HashRing(["w0", "w1", "w2"])
-        next_slot = 3
-
-        def _cohorts_are_dense():
-            owners: dict[str, str] = {}
-            for sid in ids:
-                group = batch_group(N, K, sid)
-                owner = ring.lookup(group)
-                assert owners.setdefault(group, owner) == owner
-
-        _cohorts_are_dense()
-        for op in ops:
-            if op % 2 == 0 or len(ring) == 1:
-                ring.add(f"w{next_slot}")
-                next_slot += 1
-            else:
-                ring.remove(sorted(ring.slots)[op % len(ring)])
-            _cohorts_are_dense()
 
 
 # ----------------------------------------------------- fleet differential
@@ -227,15 +191,15 @@ class TestFleetDifferential:
         handle.close()
         client.close()
 
-    def test_create_routes_by_batch_group_only(self, fleet4):
+    def test_create_routes_by_session_id_only(self, fleet4):
         """A create cannot pin its session onto a worker: the router places
-        every session by its batch group, so a stacked-sweep group never
-        splits, whatever else the request carries."""
+        every session on its id's ring owner, whatever else the request
+        carries."""
         def sessions_per_slot():
             return {w["slot"]: w["sessions"] for w in fleet4.workers()["workers"]}
 
         ring = HashRing(sessions_per_slot())
-        home = ring.lookup(batch_group(4, 2, "pinned"))
+        home = ring.lookup("pinned")
         elsewhere = next(g for g in map(str, range(100)) if ring.lookup(g) != home)
         before = sessions_per_slot()
         with ServiceClient(fleet4.address) as client:
@@ -268,7 +232,7 @@ def _lose_in_flight(fleet, session_id: str, feed) -> None:
     kill then swallows its reply.  Re-raises whatever ``feed`` raised.
     """
     pids = _pids(fleet)
-    pid = pids[HashRing(pids).lookup(batch_group(N, K, session_id))]
+    pid = pids[HashRing(pids).lookup(session_id)]
     os.kill(pid, signal.SIGSTOP)
     with ThreadPoolExecutor(max_workers=1) as pool:
         feeding = pool.submit(feed)
@@ -460,7 +424,7 @@ class TestFleetFailover:
             with ServiceClient(fleet.address, timeout=120) as client:
                 handle = client.create_session(n=N, k=K, seed=950)
                 handle.feed_rows(rows)
-                slot = HashRing(_pids(fleet)).lookup(batch_group(N, K, handle.id))
+                slot = HashRing(_pids(fleet)).lookup(handle.id)
                 (root / slot / "feeds.log").unlink()
                 with pytest.raises(ServiceError, match=handle.id):
                     _lose_in_flight(fleet, handle.id, lambda: handle.feed_rows(rows[:7]))
@@ -675,10 +639,59 @@ class TestFleetRouterState:
         assert running == {"schema": 1, "next_id": 4}
         assert json.loads((root / "router.json").read_text()) == running
 
+    def test_refused_creates_take_no_id(self, tmp_path):
+        """A create any worker would refuse is refused before the router
+        takes an id: ``router.json`` stays unwritten, and the next create
+        gets the first id."""
+        root = tmp_path / "fleet"
+        with start_fleet(workers=2, checkpoint_dir=str(root), checkpoint_interval=60) as fleet:
+            with ServiceClient(fleet.address) as client:
+                for fields in ({"n": N, "k": K, "engine": "faithful"},
+                               {"n": N, "k": 99},
+                               {"n": "x", "k": K}):
+                    with pytest.raises(ServiceError):
+                        client.request("create", **fields)
+                assert not (root / "router.json").exists()
+                assert client.create_session(n=N, k=K, seed=1).id == "s1"
+
+    def test_restart_with_another_worker_count(self, tmp_path):
+        """A root written by a 1-worker fleet restarts with 3 workers:
+        every session moves to its id's ring owner, and each finishes its
+        stream equal to the offline run."""
+        root = tmp_path / "fleet"
+        values = _matrix("random_walk", seed=17)
+        seeds = {}
+        with start_fleet(workers=1, checkpoint_dir=str(root), checkpoint_interval=60) as fleet:
+            with ServiceClient(fleet.address) as client:
+                for i in range(6):
+                    handle = client.create_session(n=N, k=K, seed=90 + i)
+                    handle.feed_rows(values[:30])
+                    seeds[handle.id] = 90 + i
+
+        with start_fleet(workers=3, checkpoint_dir=str(root), checkpoint_interval=60) as fleet:
+            with ServiceClient(fleet.address) as client:
+                assert sorted(client.session_ids()) == sorted(seeds)
+                for sid, seed in seeds.items():
+                    handle = client.session(sid)
+                    handle.feed_rows(values[30:])
+                    state = handle.query(wait=True)
+                    offline = repro.run(repro.RunSpec(values, k=K, seed=seed,
+                                                      engine="vectorized"))
+                    assert state["time"] == len(values) - 1, sid
+                    assert state["topk"] == offline.topk_history[-1].tolist(), sid
+                    assert state["messages"] == offline.total_messages, sid
+
+                async def hosts():
+                    return {sid: route.slot for sid, route in fleet.router._sessions.items()}
+
+                placed = fleet._call(hosts())
+        ring = HashRing(["w0", "w1", "w2"])
+        assert placed == {sid: ring.lookup(sid) for sid in seeds}
+
     def test_restart_from_a_3_0_router_file(self, tmp_path):
         """A root whose ``router.json`` still maps each session to its
-        group, as 3.0.0 wrote it, restarts with every session placed by its
-        recomputed group, and the id counter resumes."""
+        group, as 3.0.0 wrote it, restarts with every session placed on its
+        id's ring owner, and the id counter resumes."""
         root = tmp_path / "fleet"
         values = _matrix("random_walk", seed=15)
         options = dict(workers=2, checkpoint_dir=str(root), checkpoint_interval=60)
@@ -691,7 +704,7 @@ class TestFleetRouterState:
                     ids.append(handle.id)
         (root / "router.json").write_text(json.dumps({
             "schema": 1, "next_id": 9,
-            "sessions": {sid: batch_group(N, K, sid) for sid in ids},
+            "sessions": {sid: f"{N}x{K}/{stable_hash(sid) % 16}" for sid in ids},
         }))
 
         with start_fleet(**options) as fleet:
@@ -711,7 +724,7 @@ class TestFleetRouterState:
         ring = HashRing(placed)
         expected = dict.fromkeys(placed, 0)
         for sid in [*ids, "s9"]:
-            expected[ring.lookup(batch_group(N, K, sid))] += 1
+            expected[ring.lookup(sid)] += 1
         assert placed == expected
 
 
@@ -783,7 +796,7 @@ class TestFleetShutdown:
             with ServiceClient(fleet.address) as client:
                 handle = client.create_session(n=N, k=K, seed=2)
                 handle.feed_rows(_matrix("random_walk", seed=2)[:10])
-            slot = HashRing(_pids(fleet)).lookup(batch_group(N, K, handle.id))
+            slot = HashRing(_pids(fleet)).lookup(handle.id)
             assert len(_service_children() - before) == 3  # two workers + standby
             (root / slot / "manager.json").write_text('{"schema": 99}')
             fleet.kill_worker(slot)

@@ -135,7 +135,7 @@ class TestR2Determinism:
     def test_perf_counter_ok_in_homes(self):
         src = "import time\n\nclock = time.perf_counter\n"
         assert findings_for(src, "repro/obs/registry.py") == []
-        assert findings_for(src, "repro/service/metrics.py") == []
+        assert rules_hit(src, "repro/service/metrics.py") == ["R2"]
 
     def test_sanctioned_clock_ok(self):
         src = (

@@ -40,11 +40,8 @@ from repro.obs import (
     reset_metrics,
     span,
 )
-from repro.service.metrics import (
-    MetricsRecorder,
-    aggregate_snapshots,
-    monotonic,
-)
+from repro.obs.registry import clock as registry_clock
+from repro.service.metrics import MetricsRecorder, aggregate_snapshots
 
 
 @pytest.fixture
@@ -279,7 +276,7 @@ class _FakeClock:
 
 class TestMetricsRecorder:
     def test_clock_shim_is_the_sanctioned_one(self):
-        assert MetricsRecorder().clock is monotonic
+        assert MetricsRecorder().clock is registry_clock
 
     def test_empty_reservoir_snapshot(self):
         snap = MetricsRecorder(clock=_FakeClock()).snapshot(

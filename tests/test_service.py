@@ -818,6 +818,14 @@ class TestSessionManager:
         with pytest.raises(ConfigurationError):
             SessionManager(inbox_limit=0)
 
+    def test_refused_create_takes_no_id(self):
+        """A create refused for its k, n or seed hands out no session id."""
+        mgr = SessionManager(max_nodes=16)
+        for n, k, seed in ((8, 99, None), (8, 0, None), (32, 3, None), (8, 3, -1)):
+            with pytest.raises(ConfigurationError):
+                mgr.create(n, k, seed=seed)
+        assert mgr.create(8, 3) == "s1"
+
 
 class TestServerClient:
     def test_round_trip_matches_offline(self):
@@ -987,6 +995,13 @@ class TestServiceCli:
         assert line.startswith("listening on "), line
         return proc, line.removeprefix("listening on ")
 
+    @staticmethod
+    def _stop(proc: subprocess.Popen) -> None:
+        """Kill the server if it still runs, then reap it and close its pipes."""
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate(timeout=10)
+
     def test_serve_shutdown_roundtrip(self):
         proc, address = self._spawn()
         try:
@@ -997,8 +1012,7 @@ class TestServiceCli:
                 client.shutdown()
             assert proc.wait(timeout=10) == 0  # clean exit after shutdown op
         finally:
-            if proc.poll() is None:
-                proc.kill()
+            self._stop(proc)
 
     def test_kill_and_restart(self):
         """A killed server loses its sessions; clients reconnect and redrive."""
@@ -1011,8 +1025,7 @@ class TestServiceCli:
             with pytest.raises(ServiceError):
                 ServiceClient(address, timeout=2).ping()
         finally:
-            if proc.poll() is None:
-                proc.kill()
+            self._stop(proc)
         # Fresh server: re-create and re-drive from scratch.
         proc, address = self._spawn()
         try:
@@ -1023,8 +1036,7 @@ class TestServiceCli:
                 client.shutdown()
             assert proc.wait(timeout=10) == 0
         finally:
-            if proc.poll() is None:
-                proc.kill()
+            self._stop(proc)
 
     def test_kill_dash_nine_with_checkpoint_dir_resumes(self, tmp_path):
         """SIGKILL (no shutdown hook runs) after an explicit checkpoint:
@@ -1042,8 +1054,7 @@ class TestServiceCli:
             proc.kill()
             proc.wait(timeout=10)
         finally:
-            if proc.poll() is None:
-                proc.kill()
+            self._stop(proc)
 
         proc, address = self._spawn("--checkpoint-dir", str(tmp_path))
         try:
@@ -1056,8 +1067,7 @@ class TestServiceCli:
                 client.shutdown()
             assert proc.wait(timeout=10) == 0
         finally:
-            if proc.poll() is None:
-                proc.kill()
+            self._stop(proc)
         offline = TopKMonitor(n=N, k=K, seed=77).run(values)
         assert state["topk"] == offline.topk_history[-1].tolist()
         assert state["messages"] == offline.total_messages
@@ -1088,9 +1098,7 @@ class TestServiceCli:
                 client.shutdown()
             assert proc.wait(timeout=10) == 0
         finally:
-            if proc.poll() is None:
-                proc.kill()
-            proc.communicate(timeout=10)
+            self._stop(proc)
         offline = repro.run(repro.RunSpec(values, k=K, seed=78, engine="vectorized"))
         assert state["time"] == len(values) - 1
         assert state["topk"] == offline.topk_history[-1].tolist()
@@ -1157,8 +1165,7 @@ class TestServiceCli:
             )
             assert proc.wait(timeout=10) == 0
         finally:
-            if proc.poll() is None:
-                proc.kill()
+            self._stop(proc)
 
 
 class TestWireCodec:
@@ -1273,26 +1280,6 @@ class TestBinaryWireDifferential:
                         STEPS - 1,
                     )
                     assert answers[0] == answers[1] == expected, name
-
-    def test_push_batching_coalesces_without_changing_answers(self):
-        values = _matrix("random_walk", seed=8)
-        offline = TopKMonitor(n=N, k=K, seed=70).run(values)
-        with start_server() as server:
-            with ServiceClient(
-                server.address, wire="binary", push_linger=10.0, push_max=16
-            ) as client:
-                session = client.create_session(n=N, k=K, seed=70)
-                buffered = 0
-                for row in values:
-                    reply = session.feed(row)
-                    buffered += 1 if reply.get("buffered") else 0
-                state = session.query(wait=True)  # flushes the tail
-                # The linger is long, so flushes happen on push_max alone:
-                # most feeds buffer locally instead of paying a round trip.
-                assert buffered >= len(values) // 2
-                assert state["topk"] == offline.topk_history[-1].tolist()
-                assert state["messages"] == offline.total_messages
-                assert state["time"] == STEPS - 1
 
     def test_wire_metrics_surface_in_snapshot(self):
         values = _matrix("bursty", seed=9)

@@ -458,22 +458,16 @@ class TestFeedResume:
         assert final["messages"] == offline.total_messages
 
     def test_fleet_crash_window_resumes_exactly_once(self):
-        """Satellite: FaultPlan composition with the worker fleet.
-
-        A ``CrashWindow`` SIGKILLs one worker on a wall-clock schedule
-        while clients keep feeding through a RetryPolicy.  The standby
+        """A worker SIGKILLed between two halves of a stream, while
+        clients keep feeding through a RetryPolicy.  The standby
         promotion plus the router's resend of any feed lost in flight
         must make the crash invisible: zero session loss, every
         trajectory bit-identical to a local SessionManager — i.e. each
         row applied exactly once.
         """
-        from repro.faults import CrashWindow, FaultPlan
-        from repro.service import start_fleet
-
-        plan = FaultPlan(seed=4, crashes=(CrashWindow(node=0, down_at=1, up_at=2),))
         rng = np.random.default_rng(41)
         retry = RetryPolicy(attempts=5, connect_timeout=2.0, backoff=0.05)
-        with start_fleet(workers=3, checkpoint_interval=0.2, fault_plan=plan) as fleet:
+        with start_fleet(workers=3, checkpoint_interval=0.2) as fleet:
             with ServiceClient(fleet.address, retry=retry) as client:
                 local = SessionManager()
                 handles = {}
@@ -490,11 +484,12 @@ class TestFeedResume:
                             local.feed(sid, row)
 
                 _feed_rounds(15)
-                # Park until the scheduled kill has fired and failover ran,
-                # so the second half of the stream provably crosses it.
+                fleet.kill_worker(0)
+                # Park until the failover ran, so the second half of the
+                # stream provably crosses it.
                 deadline = time.monotonic() + 30
                 while client.metrics()["fleet"]["failovers"] < 1:
-                    assert time.monotonic() < deadline, "fault plan never fired"
+                    assert time.monotonic() < deadline, "the worker was never failed over"
                     time.sleep(0.05)
                 _feed_rounds(15)
                 local.drain()

@@ -82,7 +82,6 @@ def render_metrics() -> str:
     import repro.engine.kernel  # noqa: F401
     import repro.engine.vectorized  # noqa: F401
     import repro.faults.runtime  # noqa: F401
-    import repro.faults.transport  # noqa: F401
     import repro.service.fleet  # noqa: F401
     import repro.service.metrics  # noqa: F401
     import repro.service.wire  # noqa: F401
