@@ -76,7 +76,7 @@ from repro.errors import (
     WorkloadError,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "run",

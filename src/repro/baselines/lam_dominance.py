@@ -61,7 +61,7 @@ class DominanceTrackingMonitor:
             for _ in range(n + 1):
                 lo, hi = self._intervals_of(bounds, order, n)
                 doubled = 2 * row
-                viol = np.flatnonzero((doubled < lo) | (doubled > hi))
+                viol = np.flatnonzero((doubled < lo) | (doubled > hi))  # reprolint: disable=R1 — Lam et al.'s own dominance test against its lo/hi envelope: through FilterState the baseline would measure our kernel instead of theirs
                 if viol.size == 0:
                     break
                 ledger.charge(MessageKind.NODE_TO_COORD, Phase.BASELINE, int(viol.size))

@@ -25,6 +25,7 @@ competitive ratio reported by this reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -53,14 +54,40 @@ def _topk_partition_min_max(row: np.ndarray, k: int) -> tuple[np.ndarray, int, i
     return mask, int(row[order[k - 1]]), int(row[order[k]])
 
 
+def _feasible_mask(window: np.ndarray, k: int) -> np.ndarray | None:
+    """The first k-mask satisfying Lemma 3.2 on every row of ``window``, or ``None``.
+
+    Candidate sets are derived from the first row: the canonical top-k,
+    then the sets that swap tied boundary members (any feasible ``S`` must
+    be a top-k set of every row, in particular of the first, and all top-k
+    sets of a row differ only in tied boundary members).
+    """
+    first = window[0]
+    mask, v_k, _ = _topk_partition_min_max(first, k)
+    if int(window[:, mask].min()) >= int(window[:, ~mask].max()):
+        return mask
+    # Tie handling: any member at the boundary value may be swapped with a
+    # non-member holding the same value.
+    tied_members = np.flatnonzero(mask & (first == v_k))
+    tied_non = np.flatnonzero(~mask & (first == v_k))
+    if tied_non.size == 0:
+        return None
+    fixed = np.flatnonzero(mask & (first != v_k))
+    pool = np.concatenate([tied_members, tied_non])
+    for combo in combinations(pool.tolist(), k - fixed.size):
+        cand = np.zeros(first.size, dtype=bool)
+        cand[fixed] = True
+        cand[list(combo)] = True
+        if int(window[:, cand].min()) >= int(window[:, ~cand].max()):
+            return cand
+    return None
+
+
 def segment_feasible(values: np.ndarray, k: int, start: int, end: int) -> bool:
     """Can one fixed filter set survive rows ``start..end`` inclusive?
 
-    Implements the Lemma 3.2 condition.  Candidate sets are derived from
-    row ``start``: the canonical top-k, with tied boundary members swapped
-    if needed (any feasible ``S`` must be a top-k set of every row, in
-    particular of row ``start``, and all top-k sets of a row differ only in
-    tied boundary members).
+    Implements the Lemma 3.2 condition: some candidate of
+    :func:`_feasible_mask` holds over the whole segment.
     """
     values = check_matrix(values)
     k, n = check_k(k, values.shape[1])
@@ -68,29 +95,7 @@ def segment_feasible(values: np.ndarray, k: int, start: int, end: int) -> bool:
         return True
     if not 0 <= start <= end < values.shape[0]:
         raise ConfigurationError(f"invalid segment [{start}, {end}] for T={values.shape[0]}")
-    window = values[start : end + 1]
-    first = window[0]
-    mask, v_k, _ = _topk_partition_min_max(first, k)
-    if int(window[:, mask].min()) >= int(window[:, ~mask].max()):
-        return True
-    # Tie handling: any member at the boundary value may be swapped with a
-    # non-member holding the same value.
-    tied_members = np.flatnonzero(mask & (first == v_k))
-    tied_non = np.flatnonzero(~mask & (first == v_k))
-    if tied_members.size == 0 or tied_non.size == 0:
-        return False
-    from itertools import combinations
-
-    fixed = np.flatnonzero(mask & (first != v_k))
-    pool = np.concatenate([tied_members, tied_non])
-    need = k - fixed.size
-    for combo in combinations(pool.tolist(), need):
-        cand = np.zeros(values.shape[1], dtype=bool)
-        cand[fixed] = True
-        cand[list(combo)] = True
-        if int(window[:, cand].min()) >= int(window[:, ~cand].max()):
-            return True
-    return False
+    return _feasible_mask(values[start : end + 1], k) is not None
 
 
 def opt_segments(values: np.ndarray, k: int) -> list[tuple[int, int]]:
@@ -122,41 +127,20 @@ def opt_segments(values: np.ndarray, k: int) -> list[tuple[int, int]]:
                 t += 1
                 continue
             # The canonical candidate failed; fall back to the exhaustive
-            # tie-aware check before giving up on extending to ``t``.
-            if segment_feasible(values, k, start, t):
-                # A swapped candidate works; rebuild state for it.
-                mask = _refit_mask(values, k, start, t)
-                run_min = int(values[start : t + 1][:, mask].min())
-                run_max = int(values[start : t + 1][:, ~mask].max())
-                end = t
-                t += 1
-                continue
-            break
+            # tie-aware search before giving up on extending to ``t``.
+            window = values[start : t + 1]
+            swapped = _feasible_mask(window, k)
+            if swapped is None:
+                break
+            # A swapped candidate works; rebuild state for it.
+            mask = swapped
+            run_min = int(window[:, mask].min())
+            run_max = int(window[:, ~mask].max())
+            end = t
+            t += 1
         segments.append((start, end))
         start = end + 1
     return segments
-
-
-def _refit_mask(values: np.ndarray, k: int, start: int, end: int) -> np.ndarray:
-    """Find *some* k-mask satisfying Lemma 3.2 on ``start..end`` (must exist)."""
-    window = values[start : end + 1]
-    first = window[0]
-    n = first.size
-    mask, v_k, _ = _topk_partition_min_max(first, k)
-    if int(window[:, mask].min()) >= int(window[:, ~mask].max()):
-        return mask
-    from itertools import combinations
-
-    fixed = np.flatnonzero(mask & (first != v_k))
-    pool = np.concatenate([np.flatnonzero(mask & (first == v_k)), np.flatnonzero(~mask & (first == v_k))])
-    need = k - fixed.size
-    for combo in combinations(pool.tolist(), need):
-        cand = np.zeros(n, dtype=bool)
-        cand[fixed] = True
-        cand[list(combo)] = True
-        if int(window[:, cand].min()) >= int(window[:, ~cand].max()):
-            return cand
-    raise AssertionError("refit called on an infeasible segment")  # pragma: no cover
 
 
 def opt_segments_dp(values: np.ndarray, k: int) -> int:
@@ -237,7 +221,7 @@ class OptResult:
         total = k + 1  # initialization must at least learn the boundary pair
         prev_mask: np.ndarray | None = None
         for start, end in self.segments:
-            mask = _refit_mask(values, k, start, end)
+            mask = _feasible_mask(values[start : end + 1], k)
             if prev_mask is not None:
                 flips = int(np.count_nonzero(mask != prev_mask))
                 total += 1 + flips  # bound broadcast + membership changes

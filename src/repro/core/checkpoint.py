@@ -13,15 +13,16 @@ coin flips, hence future message counts.
 Two layers build on it:
 
 * :func:`save_session` / :func:`restore_session` — the codec for the
-  faithful :class:`~repro.core.monitor.OnlineSession`, registered with the
-  engine registry as the ``faithful`` engine's session codec.
+  faithful :class:`~repro.core.monitor.OnlineSession`.
 * :func:`encode_rng_state` / :func:`decode_rng_state` — the PCG64 helpers
-  every engine codec shares (the vectorized
+  both codecs share (the counting kernel's
   :meth:`~repro.engine.vectorized.IncrementalKernel.snapshot` uses them
   too), so RNG persistence cannot drift between engines.
 
-The streaming service persists whole managers with these codecs:
-``SessionManager.checkpoint(dir)`` / ``SessionManager(restore=dir)``.
+The streaming service checkpoints its sessions with the kernel's own codec,
+``IncrementalKernel.snapshot`` / ``from_snapshot``
+(``SessionManager.checkpoint(dir)`` / ``SessionManager(restore=dir)``), so
+it shares only the RNG helpers with this module.
 
 Message ledgers and event logs are *instrumentation*, not algorithmic
 state; they restart empty by design (a restarted coordinator begins new

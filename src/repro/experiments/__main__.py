@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from repro.experiments.report import render_markdown, render_output, render_summary
 from repro.experiments.spec import EXPERIMENTS, SCALES, get_experiment, list_experiments
+from repro.obs.registry import clock
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,11 +83,9 @@ def main(argv: list[str] | None = None) -> int:
     with sweep_defaults(**overrides):
         for exp_id in ids:
             entry = get_experiment(exp_id)
-            # CLI stopwatch only; stays off the obs clock so experiments
-            # import nothing beyond what they run.
-            start = time.perf_counter()  # reprolint: disable=R2
+            start = clock()
             output = entry.runner(args.scale)
-            elapsed = time.perf_counter() - start  # reprolint: disable=R2
+            elapsed = clock() - start
             outputs.append(output)
             print(render_output(output))
             print(f"(elapsed: {elapsed:.1f}s)")

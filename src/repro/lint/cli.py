@@ -1,6 +1,6 @@
 """``python -m repro.lint`` — the project-invariant static-analysis pass.
 
-Exit codes: 0 clean, 1 findings (or stale baseline entries), 2 bad usage.
+Exit codes: 0 clean, 1 findings, 2 bad usage.
 
 Usage::
 
@@ -17,8 +17,7 @@ import sys
 from pathlib import Path
 
 from repro.errors import ConfigurationError
-from repro.lint.baseline import load_baseline
-from repro.lint.engine import default_paths, find_baseline, run_lint
+from repro.lint.engine import run_lint
 from repro.lint.registry import list_rules
 from repro.lint.report import render_json, render_text
 
@@ -43,17 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids or slugs to run (default: all)",
     )
     parser.add_argument(
-        "--baseline", type=Path, metavar="FILE",
-        help="baseline file of grandfathered findings "
-        "(default: .reprolint-baseline.json found above the scanned path)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file (report grandfathered findings too)",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
-        help="print the registered rules and exit",
+        help="print the rules and exit",
     )
     return parser
 
@@ -65,18 +55,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{info.id}  {info.slug}: {info.summary}")
             print(f"    why: {info.rationale}")
         return 0
-    paths = args.paths or default_paths()
-    baseline = None
-    if not args.no_baseline:
-        baseline_path = args.baseline or find_baseline(paths[0])
-        if args.baseline and not args.baseline.exists():
-            print(f"error: baseline {args.baseline} does not exist", file=sys.stderr)
-            return 2
-        if baseline_path is not None:
-            baseline = load_baseline(baseline_path)
     try:
-        report = run_lint(paths, select=args.select.split(",") if args.select else None,
-                          baseline=baseline)
+        report = run_lint(args.paths or None,
+                          select=args.select.split(",") if args.select else None)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,11 @@
-"""Finding and module-context types shared by the lint engine and rules.
+"""Finding, module-context and rule types shared by the lint engine and rules.
 
 A *finding* is one rule violation at one source location; a
 :class:`ModuleContext` is everything a rule needs to inspect one parsed
 module: its AST, its source lines, its path *inside the package*
 (``repro/engine/vectorized.py`` — the coordinate every rule scopes on), and a
-resolver from AST expressions to dotted import names.
+resolver from AST expressions to dotted import names.  A :class:`RuleInfo`
+is one rule: its identity, its docs and the checker that runs per module.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
-__all__ = ["Finding", "ModuleContext"]
+__all__ = ["Finding", "ModuleContext", "RuleInfo"]
 
 
 @dataclass(frozen=True, order=True)
@@ -54,16 +54,11 @@ class ModuleContext:
         the coordinate rules scope on.  For files outside the package
         tree (fixtures, demos) callers pick the relpath they want the
         file *treated as*.
-    ``package_root``
-        Filesystem path of the scanned ``repro`` package when known
-        (rules that cross-check package sources, like the registry
-        contract, read other files through it); ``None`` for loose files.
     """
 
     relpath: str
     source: str
     tree: ast.Module
-    package_root: Path | None = None
     filename: str = "<unknown>"
     _findings: list[Finding] = field(default_factory=list, repr=False)
 
@@ -137,3 +132,19 @@ class ModuleContext:
         """Drain and return the findings recorded so far."""
         out, self._findings = self._findings, []
         return out
+
+
+@dataclass(frozen=True)
+class RuleInfo:
+    """One rule: identity, docs, and its checker.
+
+    ``checker(ctx)`` runs once per parsed module and records findings
+    through ``ctx.report``; which files it cares about is its own
+    business, decided from ``ctx.relpath``.
+    """
+
+    id: str
+    slug: str
+    summary: str
+    rationale: str
+    checker: Callable[[ModuleContext], None]

@@ -13,18 +13,12 @@ __all__ = ["render_text", "render_json"]
 def render_text(report: LintReport) -> str:
     """``file:line:col: RULE[slug] message`` lines plus a summary."""
     lines = [finding.render() for finding in report.findings]
-    lines.extend(report.stale_baseline)
     tail = (
         f"{len(report.findings)} finding{'s' if len(report.findings) != 1 else ''} "
         f"in {report.checked_files} files"
     )
-    extras = []
     if report.suppressed:
-        extras.append(f"{report.suppressed} suppressed inline")
-    if report.grandfathered:
-        extras.append(f"{report.grandfathered} grandfathered by baseline")
-    if extras:
-        tail += f" ({', '.join(extras)})"
+        tail += f" ({report.suppressed} suppressed inline)"
     lines.append(tail)
     return "\n".join(lines)
 
@@ -33,12 +27,10 @@ def render_json(report: LintReport) -> str:
     """Stable machine form for CI (``--format json``)."""
     return json.dumps(
         {
-            "version": 1,
+            "version": 2,
             "ok": report.ok,
             "checked_files": report.checked_files,
             "suppressed": report.suppressed,
-            "grandfathered": report.grandfathered,
-            "stale_baseline": report.stale_baseline,
             "rules": {
                 info.id: {"slug": info.slug, "summary": info.summary} for info in list_rules()
             },

@@ -1,13 +1,6 @@
 """Built-in reprolint rules.
 
-Each module registers exactly one rule via
-:func:`repro.lint.registry.register_rule` at import; the registry imports
-them lazily.  Importing this package loads all of them eagerly (handy in
-tests).
+Each module defines exactly one rule as ``RULE``, a
+:class:`repro.lint.findings.RuleInfo`; :data:`repro.lint.registry.RULES`
+is the table that lists them.
 """
-
-from __future__ import annotations
-
-from repro.lint.registry import load_builtin_rules
-
-load_builtin_rules()

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.findings import ModuleContext
-from repro.lint.registry import register_rule
+from repro.lint.findings import ModuleContext, RuleInfo
 from repro.lint.rules._shared import in_dirs, scope_nodes
 
 RULE_ID = "R4"
@@ -89,8 +88,8 @@ def _check(ctx: ModuleContext) -> None:
             _check_async_body(node, ctx)
 
 
-register_rule(
-    RULE_ID,
+RULE = RuleInfo(
+    id=RULE_ID,
     slug=SLUG,
     summary="no blocking calls or per-request JSON codec work inside async defs in service/",
     rationale="one event loop hosts every session; a single synchronous call stalls "

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.findings import ModuleContext
-from repro.lint.registry import register_rule
+from repro.lint.findings import ModuleContext, RuleInfo
 from repro.lint.rules._shared import in_dirs
 
 RULE_ID = "R2"
@@ -117,8 +116,8 @@ def _check(ctx: ModuleContext) -> None:
             ctx.report(
                 node, RULE_ID, SLUG,
                 "wall-clock time.time() in an algorithmic module; results must be a "
-                "pure function of (input, seed) — use time.perf_counter for timing "
-                "instrumentation only",
+                "pure function of (input, seed) — time instrumentation with the "
+                "sanctioned clock (from repro.obs.registry import clock)",
             )
         elif qn == "os.urandom":
             ctx.report(node, RULE_ID, SLUG, f"os.urandom is OS entropy; {_FIX}")
@@ -143,8 +142,8 @@ def _check(ctx: ModuleContext) -> None:
             )
 
 
-register_rule(
-    RULE_ID,
+RULE = RuleInfo(
+    id=RULE_ID,
     slug=SLUG,
     summary="no wall clocks or unseeded/global RNGs in engine/core/faults/analysis/streams; "
     "raw time.perf_counter confined to repro/obs/",

@@ -11,16 +11,15 @@ Detection: within each scope, names assigned ``2 * expr`` (or
 ``expr * 2``) are *doubled values*; any ordering comparison whose operand
 is such a name or a direct ``2 * expr`` expression is the kernel pattern.
 Classical baselines that legitimately run their own doubled-bound
-arithmetic (it is *their* algorithm's border, not the kernel's) are
-grandfathered in ``.reprolint-baseline.json`` with a ``why`` each.
+arithmetic (it is *their* algorithm's border, not the kernel's) waive each
+such line with ``# reprolint: disable=R1 — <why>``.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.findings import ModuleContext
-from repro.lint.registry import register_rule
+from repro.lint.findings import ModuleContext, RuleInfo
 from repro.lint.rules._shared import function_defs, scope_nodes
 
 RULE_ID = "R1"
@@ -78,8 +77,8 @@ def _check(ctx: ModuleContext) -> None:
     _check_scope(ctx.tree.body, frozenset(), ctx)
 
 
-register_rule(
-    RULE_ID,
+RULE = RuleInfo(
+    id=RULE_ID,
     slug=SLUG,
     summary="the 2*v vs M2 quietness comparison may exist only in engine/kernel.py",
     rationale="bit-identical engines are provable only while the filter decision has "

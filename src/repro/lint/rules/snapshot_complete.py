@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.findings import ModuleContext
-from repro.lint.registry import register_rule
+from repro.lint.findings import ModuleContext, RuleInfo
 
 RULE_ID = "R5"
 SLUG = "snapshot-complete"
@@ -141,8 +140,8 @@ def _check(ctx: ModuleContext) -> None:
             )
 
 
-register_rule(
-    RULE_ID,
+RULE = RuleInfo(
+    id=RULE_ID,
     slug=SLUG,
     summary="attributes set in __init__ must round-trip through snapshot/from_snapshot",
     rationale="durable sessions promise bit-identical restore; a state attribute the "

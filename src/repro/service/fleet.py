@@ -802,6 +802,10 @@ class FleetRouter(Frontend):
                      engine=request.get("engine"))
         session_id = request.get("session")
         if session_id is None:
+            # Skip ids a client already chose for a live session; one
+            # router.json write covers however far the counter moved.
+            while f"s{self._next_id}" in self._sessions:
+                self._next_id += 1
             session_id = f"s{self._next_id}"
             self._next_id += 1
             self._save_next_id()

@@ -340,6 +340,9 @@ class SessionManager:
         """
         check_create(n, k, seed=seed, max_nodes=self.max_nodes)
         if session_id is None:
+            # Skip ids a client already chose for a live session.
+            while f"s{self._next_id}" in self._sessions:
+                self._next_id += 1
             session_id = f"s{self._next_id}"
             self._next_id += 1
         else:

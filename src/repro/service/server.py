@@ -48,7 +48,6 @@ from repro.errors import ConfigurationError, ServiceError
 from repro.obs import OBS, RECORDER, obs_payload
 from repro.service.manager import (
     DEFAULT_INBOX_LIMIT,
-    DEFAULT_MAX_NODES,
     SESSION_ENGINE,
     SessionManager,
     check_create,
@@ -76,7 +75,6 @@ class ServiceServer(Frontend):
         *,
         manager: SessionManager | None = None,
         inbox_limit: int = DEFAULT_INBOX_LIMIT,
-        max_nodes: int = DEFAULT_MAX_NODES,
         batch_linger: float = 0.0,
         checkpoint_dir: "str | os.PathLike | None" = None,
         checkpoint_interval: float | None = None,
@@ -113,9 +111,7 @@ class ServiceServer(Frontend):
             restore = None
             if self.checkpoint_dir is not None and (self.checkpoint_dir / "manager.json").exists():
                 restore = self.checkpoint_dir
-            self.manager = SessionManager(
-                inbox_limit=inbox_limit, max_nodes=max_nodes, restore=restore
-            )
+            self.manager = SessionManager(inbox_limit=inbox_limit, restore=restore)
         #: Seconds the stepper lingers after waking from idle before its
         #: first sweep, letting feeds from many connections pile into the
         #: same stacked sweep — a tail-latency/batch-width trade-off.
@@ -336,8 +332,8 @@ def start_server(host: str = "127.0.0.1", port: int = 0, **options) -> ServerHan
         ``handle.address``).
     options:
         Forwarded to :class:`ServiceServer` (``manager``, ``inbox_limit``,
-        ``max_nodes``, ``batch_linger``, ``checkpoint_dir``,
-        ``checkpoint_interval``).
+        ``batch_linger``, ``checkpoint_dir``, ``checkpoint_interval``); a
+        node cap comes with ``manager=SessionManager(max_nodes=...)``.
 
     Raises
     ------

@@ -654,6 +654,17 @@ class TestFleetRouterState:
                 assert not (root / "router.json").exists()
                 assert client.create_session(n=N, k=K, seed=1).id == "s1"
 
+    def test_automatic_id_skips_a_client_chosen_one(self, tmp_path):
+        """Through the router an unnamed create never collides with an id
+        a client chose, and ``router.json`` resumes past both."""
+        root = tmp_path / "fleet"
+        with start_fleet(workers=1, checkpoint_dir=str(root), checkpoint_interval=60) as fleet:
+            with ServiceClient(fleet.address) as client:
+                assert client.request("create", n=N, k=K, session="s1")["session"] == "s1"
+                assert client.create_session(n=N, k=K).id == "s2"
+                assert json.loads((root / "router.json").read_text())["next_id"] == 3
+                assert sorted(client.session_ids()) == ["s1", "s2"]
+
     def test_restart_with_another_worker_count(self, tmp_path):
         """A root written by a 1-worker fleet restarts with 3 workers:
         every session moves to its id's ring owner, and each finishes its

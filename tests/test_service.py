@@ -826,6 +826,13 @@ class TestSessionManager:
                 mgr.create(n, k, seed=seed)
         assert mgr.create(8, 3) == "s1"
 
+    def test_automatic_id_skips_a_client_chosen_one(self):
+        """An unnamed create never collides with an id a client chose."""
+        mgr = SessionManager()
+        assert mgr.create(4, 2, session_id="s1") == "s1"
+        assert mgr.create(4, 2) == "s2"
+        assert mgr.create(4, 2) == "s3"
+
 
 class TestServerClient:
     def test_round_trip_matches_offline(self):
