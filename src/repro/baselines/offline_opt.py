@@ -91,10 +91,10 @@ def segment_feasible(values: np.ndarray, k: int, start: int, end: int) -> bool:
     """
     values = check_matrix(values)
     k, n = check_k(k, values.shape[1])
-    if k == n:
-        return True
     if not 0 <= start <= end < values.shape[0]:
         raise ConfigurationError(f"invalid segment [{start}, {end}] for T={values.shape[0]}")
+    if k == n:
+        return True
     return _feasible_mask(values[start : end + 1], k) is not None
 
 
@@ -215,9 +215,15 @@ class OptResult:
         Using this as the competitive denominator *lowers* measured ratios
         (the denominator grows), i.e. it strengthens the paper's result —
         reported as an extra column in E4.
+
+        At ``k == n`` the bound is 0: the top-k set is every node, so there
+        is no boundary pair to learn and no filter to move, and every
+        engine charges 0 messages there.
         """
         values = check_matrix(values)
         k, n = check_k(k, values.shape[1])
+        if k == n:
+            return 0
         total = k + 1  # initialization must at least learn the boundary pair
         prev_mask: np.ndarray | None = None
         for start, end in self.segments:

@@ -76,7 +76,10 @@ PHASES = (
 
 # Chunked lookahead: start small so churn-heavy inputs only ever reduce a
 # few rows past the current step, grow geometrically so long quiet segments
-# are covered in O(log(segment)) whole-array reductions.
+# are covered in few chunks.  A quiet chunk costs one ``min`` over its TOP
+# columns and one ``max`` over its BOTTOM columns; per-row reductions run
+# only in the chunk that holds the first violation.  A side whose ids are
+# not contiguous still costs one gather per chunk.
 _SCAN_CHUNK_MIN = 16
 _SCAN_CHUNK_MAX = 8192
 
@@ -205,14 +208,26 @@ class FilterState:
         quiet.
 
         The filters are static between communication events, so quietness
-        of each row is a pure function of the input — the per-row
-        reductions ``min over TOP`` / ``max over BOTTOM`` vectorize over
-        time.  Scanning proceeds in geometrically growing chunks so
-        churn-heavy blocks never pay for lookahead they don't use, while a
-        fully quiet block costs O(log B) whole-array reductions.
+        of each row is a pure function of the input.  Scanning proceeds in
+        geometrically growing chunks, each first tested as a whole: if the
+        ``min`` over its TOP columns and the ``max`` over its BOTTOM
+        columns stay inside the filter, every row of the chunk is quiet.
+        So a quiet chunk costs those two reductions, and the per-row
+        reductions that locate a violation run only in the chunk that
+        holds the first one.  Churn-heavy blocks never pay for lookahead
+        they don't use.  TOP or BOTTOM ids that are not contiguous still
+        cost one gather of that side per chunk.
 
         Requires a non-trivial installed partition (both sides non-empty)
         and a fresh id cache.
+
+        >>> state = FilterState.blank(4)
+        >>> state.install([0, 1], 40, 30)  # TOP = {0, 1}, M2 = 70
+        >>> block = np.array([[50, 40, 30, 20]] * 100 + [[50, 40, 45, 20]])
+        >>> state.scan_quiet(block)  # rows 0-79 pass as two whole chunks
+        100
+        >>> state.scan_quiet(block, 101)
+        101
         """
         lo, hi = _thresholds(self.m2)
         top_sel = _selector(self.top_ids)
@@ -222,10 +237,11 @@ class FilterState:
         span = _SCAN_CHUNK_MIN
         while pos < T:
             chunk = block[pos : min(T, pos + span)]
-            window = (chunk[:, top_sel].min(axis=1) < lo) | (chunk[:, bot_sel].max(axis=1) > hi)
-            first = int(window.argmax())
-            if window[first]:
-                return pos + first
+            top = chunk[:, top_sel]
+            bot = chunk[:, bot_sel]
+            if top.min() < lo or bot.max() > hi:
+                window = (top.min(axis=1) < lo) | (bot.max(axis=1) > hi)
+                return pos + int(window.argmax())
             pos += chunk.shape[0]
             span = min(span * 4, _SCAN_CHUNK_MAX)
         return T

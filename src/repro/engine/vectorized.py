@@ -14,10 +14,11 @@ Both counting engines are one :class:`IncrementalKernel`:
 * ``fast`` is one :meth:`IncrementalKernel.observe_many` call over the
   whole matrix.  Between communication events the filters are static, so
   :meth:`~repro.engine.kernel.FilterState.scan_quiet` finds the next
-  violating row in geometrically growing block reductions, the quiet rows
-  before it are filled by slice assignment, and the violation handler runs
-  only at the rows it finds — the paper's point that filter-based
-  monitoring makes almost every step quiet.
+  violating row in geometrically growing chunks, each tested whole by one
+  reduction per side, the quiet rows before it are filled by slice
+  assignment, and the violation handler runs only at the rows it finds —
+  the paper's point that filter-based monitoring makes almost every step
+  quiet.
 
 The filter state itself — partition, doubled bound, quietness decision —
 lives one layer down in :mod:`repro.engine.kernel` (:class:`FilterState`),

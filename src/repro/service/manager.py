@@ -36,7 +36,7 @@ e.g. after a bulk ``feed_rows`` or while draining) skips the sweep loop
 entirely: its whole backlog is handed to the kernel's ``observe_many``
 (the queued block itself, concatenated only when several are waiting),
 which uses the kernel's cross-row ``scan_quiet`` block scan to drain every
-quiet prefix in O(log B) whole-array reductions instead of B per-row
+quiet prefix at two whole-chunk reductions per chunk instead of B per-row
 sweeps.  Exactness is the kernel's segment-skip invariant, so this too is
 bit-identical — and it is the fast lane behind :meth:`drain` and
 :meth:`close`.

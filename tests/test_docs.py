@@ -58,6 +58,7 @@ class TestDocSnippets:
         proc = _run(
             "-m", "pytest", "--doctest-modules", "-q",
             "src/repro/api.py",
+            "src/repro/engine/kernel.py",
             "src/repro/engine/registry.py",
             "src/repro/analysis/backends.py",
             "src/repro/analysis/sweeps.py",

@@ -14,6 +14,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.kernel import (
     FilterState,
@@ -41,6 +43,54 @@ def _brute_violates(state: FilterState, row: np.ndarray) -> bool:
     return bool(
         ((state.sides & (doubled < state.m2)) | (~state.sides & (doubled > state.m2))).any()
     )
+
+
+def _brute_scan(state: FilterState, block: np.ndarray, start: int) -> int:
+    """The reference for ``scan_quiet``: the per-row loop."""
+    return next(
+        (t for t in range(start, block.shape[0]) if _brute_violates(state, block[t])),
+        block.shape[0],
+    )
+
+
+# First and last row of each scan chunk, as offsets from ``start``: the
+# chunks are 16, 64, 256 and 1,024 rows, then 4,096.
+_CHUNK_EDGES = (0, 15, 16, 79, 80, 335, 336, 1359, 1360)
+
+
+@st.composite
+def _scan_cases(draw):
+    """A state, a mostly quiet block, a start, and at most one planted
+    violating row anywhere in the block."""
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, n - 1))
+    if draw(st.booleans()):
+        first = draw(st.integers(0, n - k))
+        top = list(range(first, first + k))
+    else:
+        top = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+    m2 = draw(st.integers(-40, 40))  # odd and even, negative and positive
+    lo, hi = -(-m2 // 2), m2 // 2  # ceil(M2/2) + floor(M2/2) = M2
+    state = FilterState.blank(n)
+    state.install(top, lo, hi)
+    rows = draw(st.integers(1, 1500))
+    start = draw(st.one_of(st.integers(0, min(40, rows)), st.integers(0, rows)))
+    # Quiet values: TOP at or above ceil(M2/2), BOTTOM at or below
+    # floor(M2/2), a third of them exactly on the threshold.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = rng.integers(0, 3, size=(rows, n))
+    block = np.where(state.sides, lo + offsets, hi - offsets).astype(np.int64)
+    edges = [start + e for e in _CHUNK_EDGES if start + e < rows]
+    where = draw(st.one_of(
+        st.none(),
+        st.integers(0, rows - 1),
+        st.sampled_from(edges) if edges else st.none(),
+    ))
+    if where is not None:
+        node = draw(st.integers(0, n - 1))
+        past = draw(st.integers(1, 3))  # 1: just across the threshold
+        block[where, node] = lo - past if state.sides[node] else hi + past
+    return state, block, start
 
 
 class TestFilterState:
@@ -73,18 +123,18 @@ class TestFilterState:
         state = _random_state(rng, n)
         # Mostly-quiet block: values near the midpoint band, rare excursions.
         block = rng.integers(-5, 5, size=(200, n)) + state.m2 // 2
-        expected = next(
-            (t for t in range(block.shape[0]) if _brute_violates(state, block[t])),
-            block.shape[0],
-        )
-        assert state.scan_quiet(block) == expected
+        assert state.scan_quiet(block) == _brute_scan(state, block, 0)
         # And from an arbitrary start offset.
         start = int(rng.integers(0, block.shape[0]))
-        expected = next(
-            (t for t in range(start, block.shape[0]) if _brute_violates(state, block[t])),
-            block.shape[0],
-        )
-        assert state.scan_quiet(block, start) == expected
+        assert state.scan_quiet(block, start) == _brute_scan(state, block, start)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_scan_cases())
+    def test_scan_quiet_matches_brute_force_past_first_chunk(self, case):
+        """Quiet chunks are skipped whole and the first violation is still
+        found exactly, at every chunk edge and from any start."""
+        state, block, start = case
+        assert state.scan_quiet(block, start) == _brute_scan(state, block, start)
 
     def test_scan_quiet_fully_quiet_block(self):
         state = FilterState.blank(4)

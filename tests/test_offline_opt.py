@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro import RunSpec
 from repro.baselines.offline_opt import (
     opt_result,
     opt_segments,
@@ -49,6 +51,12 @@ class TestSegmentFeasible:
             segment_feasible(values, 1, 3, 2)
         with pytest.raises(ConfigurationError):
             segment_feasible(values, 1, 0, 5)
+        # k == n has a trivially feasible segment, but a bad range is
+        # still refused.
+        with pytest.raises(ConfigurationError):
+            segment_feasible(values, 3, 3, 2)
+        with pytest.raises(ConfigurationError):
+            segment_feasible(values, 3, 0, 5)
 
     def test_subinterval_closure(self):
         """Feasibility is closed under shrinking (the greedy's soundness)."""
@@ -168,6 +176,15 @@ class TestMessagesLowerBound:
         values = random_walk(8, 100, seed=3, step_size=5).generate()
         opt = opt_result(values, 3)
         assert opt.messages_lower_bound(values, 3) >= opt.epochs
+
+    def test_k_equals_n_is_zero(self):
+        """At k == n every node is in the top-k: nothing to learn or move,
+        and every engine charges 0 messages."""
+        values = np.array([[3, 1, 2], [1, 2, 3]])
+        assert opt_result(values, 3).messages_lower_bound(values, 3) == 0
+        for engine in ("faithful", "vectorized", "fast"):
+            result = repro.run(RunSpec(values, k=3, seed=0), engine=engine)
+            assert result.total_messages == 0
 
     def test_online_cost_still_above_lower_bound(self):
         from repro.core.monitor import TopKMonitor

@@ -68,6 +68,34 @@ class TestIncrementalKernel:
         offline = TopKMonitor(n=N, k=K, seed=4).run(values)
         assert kernel.message_count == offline.total_messages
 
+    def test_track_times_off_keeps_no_time_lists(self):
+        """Kernel memory under ``track_times=False``: a long churn stream
+        fed in 512-row blocks leaves the per-step time lists empty while the
+        counters count, for a bare kernel and for a manager's session."""
+        n, k, block = 8, 3, 512
+        values = get_workload("iid_uniform", n, 8 * block, seed=3).generate()
+        tracked = IncrementalKernel(n, k, seed=6, track_times=True)
+        bounded = IncrementalKernel(n, k, seed=6, track_times=False)
+        mgr = SessionManager()
+        sid = mgr.create(n, k, seed=6)
+        session = mgr._sessions[sid].stepper
+        tracked_history, bounded_history = [], []
+        for a in range(0, len(values), block):
+            rows = values[a : a + block]
+            tracked_history.append(tracked.observe_many(rows))
+            bounded_history.append(bounded.observe_many(rows))
+            mgr.feed_many(sid, rows)
+            assert mgr.step() == len(rows)
+        assert np.array_equal(np.concatenate(bounded_history), np.concatenate(tracked_history))
+        assert len(tracked.reset_times) == tracked.resets > 1000
+        assert tracked.handler_times
+        for kernel in (bounded, session):
+            assert kernel.reset_times == kernel.handler_times == []
+            assert kernel.resets == tracked.resets
+            assert kernel.handler_calls == tracked.handler_calls
+            assert kernel.counts == tracked.counts
+            assert kernel.topk.tolist() == tracked.topk.tolist()
+
     def test_quiet_step_is_exact(self):
         """Externally proven-quiet steps may skip the per-step logic."""
         values = _matrix("lazy_walk")
