@@ -52,29 +52,30 @@ See ``README.md`` for the quickstart and registry tables, and
 ``docs/architecture.md`` for the registry/message-protocol architecture.
 """
 
-from repro.api import RunSpec, connect, run, serve
-from repro.core.events import MonitorResult, StepEvent, StepKind
-from repro.core.filters import Filter, FilterSet
-from repro.core.monitor import MonitorConfig, OnlineSession, TopKMonitor
-from repro.core.protocols import (
-    ProtocolConfig,
-    ProtocolOutcome,
-    maximum_protocol,
-    minimum_protocol,
-)
-from repro.core.checkpoint import restore_session, save_session
-from repro.core.selection import select_top_k
-from repro.engine.registry import EngineInfo, get_engine, list_engines, register_engine
-from repro.engine.results import RunResult
-from repro.errors import (
-    ConfigurationError,
-    ExperimentError,
-    InvariantViolation,
-    ProtocolError,
-    RegistryError,
-    ReproError,
-    WorkloadError,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover — static names for type checkers
+    from repro.api import RunSpec, connect, run, serve
+    from repro.core.checkpoint import restore_session, save_session
+    from repro.core.config import MonitorConfig, ProtocolConfig
+    from repro.core.events import MonitorResult, StepEvent, StepKind
+    from repro.core.filters import Filter, FilterSet
+    from repro.core.monitor import OnlineSession, TopKMonitor
+    from repro.core.protocols import ProtocolOutcome, maximum_protocol, minimum_protocol
+    from repro.core.selection import select_top_k
+    from repro.engine.registry import EngineInfo, get_engine, list_engines, register_engine
+    from repro.engine.results import RunResult
+    from repro.errors import (
+        ConfigurationError,
+        ExperimentError,
+        InvariantViolation,
+        ProtocolError,
+        RegistryError,
+        ReproError,
+        WorkloadError,
+    )
 
 __version__ = "6.0.0"
 
@@ -113,8 +114,7 @@ __all__ = [
     "__version__",
 ]
 
-#: Submodules resolved lazily by :func:`__getattr__` (import cost is paid
-#: only on first access) and advertised by :func:`__dir__`.
+#: Subpackages resolved on first access (and advertised by ``dir()``).
 _LAZY_SUBMODULES = (
     "analysis",
     "baselines",
@@ -128,20 +128,31 @@ _LAZY_SUBMODULES = (
     "util",
 )
 
-
-def __getattr__(name: str):
-    """Lazy submodule access: ``repro.streams`` etc. without import cost."""
-    if name.startswith("__") and name.endswith("__"):
-        # Dunder probes (copy, pickle, inspect) must fail fast and must
-        # never be mistaken for prospective submodules.
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    if name in _LAZY_SUBMODULES:
-        import importlib
-
-        return importlib.import_module(f"repro.{name}")
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    """Advertise lazy submodules alongside the eager globals."""
-    return sorted(set(globals()) | set(_LAZY_SUBMODULES))
+# Every public name loads on first access (see repro._lazy), so a process
+# imports only the layers it runs: a served process never loads the
+# faithful monitor, a ``fast`` run never loads the message model.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.api": ("RunSpec", "connect", "run", "serve"),
+        "repro.core.checkpoint": ("restore_session", "save_session"),
+        "repro.core.config": ("MonitorConfig", "ProtocolConfig"),
+        "repro.core.events": ("MonitorResult", "StepEvent", "StepKind"),
+        "repro.core.filters": ("Filter", "FilterSet"),
+        "repro.core.monitor": ("OnlineSession", "TopKMonitor"),
+        "repro.core.protocols": ("ProtocolOutcome", "maximum_protocol", "minimum_protocol"),
+        "repro.core.selection": ("select_top_k",),
+        "repro.engine.registry": ("EngineInfo", "get_engine", "list_engines", "register_engine"),
+        "repro.engine.results": ("RunResult",),
+        "repro.errors": (
+            "ConfigurationError",
+            "ExperimentError",
+            "InvariantViolation",
+            "ProtocolError",
+            "RegistryError",
+            "ReproError",
+            "WorkloadError",
+        ),
+    },
+    _LAZY_SUBMODULES,
+)

@@ -25,7 +25,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.core.monitor import MonitorConfig
+from repro.core.config import MonitorConfig
 from repro.engine.registry import get_engine
 from repro.engine.results import RunResult
 from repro.errors import ConfigurationError

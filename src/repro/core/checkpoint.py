@@ -10,19 +10,17 @@ serializes it to a plain dict (JSON-compatible) and restores a session that
 behaves **bit-identically** to one that never stopped — including future
 coin flips, hence future message counts.
 
-Two layers build on it:
-
-* :func:`save_session` / :func:`restore_session` — the codec for the
-  faithful :class:`~repro.core.monitor.OnlineSession`.
-* :func:`encode_rng_state` / :func:`decode_rng_state` — the PCG64 helpers
-  both codecs share (the counting kernel's
-  :meth:`~repro.engine.vectorized.IncrementalKernel.snapshot` uses them
-  too), so RNG persistence cannot drift between engines.
-
-The streaming service checkpoints its sessions with the kernel's own codec,
-``IncrementalKernel.snapshot`` / ``from_snapshot``
-(``SessionManager.checkpoint(dir)`` / ``SessionManager(restore=dir)``), so
-it shares only the RNG helpers with this module.
+:func:`save_session` / :func:`restore_session` are the codec for the
+faithful :class:`~repro.core.monitor.OnlineSession`.  The coin-flip stream
+goes through the PCG64 state codec in :mod:`repro.util.seeding`
+(:func:`~repro.util.seeding.encode_rng_state` /
+:func:`~repro.util.seeding.decode_rng_state`, still importable from here),
+which the counting kernel's own codec,
+:meth:`~repro.engine.vectorized.IncrementalKernel.snapshot` /
+``from_snapshot``, shares, so RNG persistence cannot drift between
+engines.  The streaming service checkpoints its sessions with the kernel's
+codec (``SessionManager.checkpoint(dir)`` / ``SessionManager(restore=dir)``)
+and never loads this module.
 
 Message ledgers and event logs are *instrumentation*, not algorithmic
 state; they restart empty by design (a restarted coordinator begins new
@@ -33,11 +31,11 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
-from repro.core.monitor import MonitorConfig, OnlineSession
+from repro.core.config import MonitorConfig
+from repro.core.monitor import OnlineSession
 from repro.engine.kernel import FilterState
 from repro.errors import ConfigurationError
+from repro.util.seeding import decode_rng_state, encode_rng_state
 
 __all__ = [
     "save_session",
@@ -98,33 +96,6 @@ def restore_session(state: dict[str, Any], *, config: MonitorConfig | None = Non
     session._filter = FilterState.from_snapshot(state["filter"])
     session.resets = int(state["resets"])
     session.handler_calls = int(state["handler_calls"])
-    session._rng = decode_rng_state(state["rng_state"])
+    session._rng = decode_rng_state(state["rng_state"], session._rng)
     return session
 
-
-def encode_rng_state(rng: np.random.Generator) -> dict[str, Any]:
-    """Serialize a PCG64 generator's state into JSON-safe types."""
-    raw = rng.bit_generator.state
-    if raw.get("bit_generator") != "PCG64":
-        raise ConfigurationError(f"only PCG64 sessions can be checkpointed, got {raw.get('bit_generator')}")
-    return {
-        "bit_generator": "PCG64",
-        "state": int(raw["state"]["state"]),
-        "inc": int(raw["state"]["inc"]),
-        "has_uint32": int(raw["has_uint32"]),
-        "uinteger": int(raw["uinteger"]),
-    }
-
-
-def decode_rng_state(data: dict[str, Any]) -> np.random.Generator:
-    """Inverse of :func:`encode_rng_state`."""
-    if data.get("bit_generator") != "PCG64":
-        raise ConfigurationError("checkpoint does not contain a PCG64 state")
-    bg = np.random.PCG64()
-    bg.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": int(data["state"]), "inc": int(data["inc"])},
-        "has_uint32": int(data["has_uint32"]),
-        "uinteger": int(data["uinteger"]),
-    }
-    return np.random.Generator(bg)

@@ -33,14 +33,14 @@ streaming service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from repro.core.config import MonitorConfig
 from repro.core.events import MonitorResult, StepEvent, StepKind, valid_topk_set
 from repro.core.filters import FilterSet, filters_from_sides
-from repro.core.protocols import ProtocolConfig, maximum_protocol, minimum_protocol
+from repro.core.protocols import maximum_protocol, minimum_protocol
 from repro.core.selection import select_top_k
 from repro.engine.kernel import FilterState
 from repro.errors import ConfigurationError, InvariantViolation
@@ -52,41 +52,6 @@ from repro.util.seeding import derive_rng
 from repro.util.validation import check_k, check_matrix
 
 __all__ = ["MonitorConfig", "TopKMonitor", "OnlineSession"]
-
-
-@dataclass(frozen=True)
-class MonitorConfig:
-    """Behavioural switches for :class:`TopKMonitor`.
-
-    ``audit``
-        Verify after every step that the reported set is a valid top-k set;
-        raise :class:`~repro.errors.InvariantViolation` otherwise.  Costs
-        one ``O(n)`` pass per step.
-    ``skip_redundant_min``
-        Ablation A2: when both sides violated, the paper's listing re-runs
-        the MinimumProtocol over the whole TOP side even though the min is
-        already known from the violators (every TOP violator is < M <= every
-        TOP non-violator).  Setting this skips the redundant run.
-    ``always_reset``
-        Ablation A1: disable the T+/T− midpoint-halving mechanism and run a
-        full ``FilterReset`` on *every* violation step.  This is the
-        strawman Algorithm 1 improves on; the log Δ term of Theorem 3.3
-        exists precisely because halving avoids most resets.
-    ``protocol``
-        Accounting/round policy for the embedded Algorithm 2 runs.
-    ``track_series`` / ``record_messages``
-        Instrumentation: per-step message series; full message objects.
-    ``collect_events``
-        Keep per-step :class:`~repro.core.events.StepEvent` records.
-    """
-
-    audit: bool = False
-    skip_redundant_min: bool = False
-    always_reset: bool = False
-    protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
-    track_series: bool = False
-    record_messages: bool = False
-    collect_events: bool = True
 
 
 class OnlineSession:

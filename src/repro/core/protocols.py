@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.config import ProtocolConfig
 from repro.errors import ConfigurationError, ProtocolError
 from repro.model.message import Phase
 from repro.model.transport import Transport
@@ -42,28 +43,6 @@ __all__ = [
     "maximum_protocol",
     "minimum_protocol",
 ]
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Tunables for message accounting and round policy.
-
-    ``charge_start_broadcast``
-        Charge one broadcast when the *coordinator* initiates a protocol run
-        (handler lines 23/25 and each ``FilterReset`` sweep need an
-        announcement; violation-triggered runs are node-initiated and free).
-    ``broadcast_every_round``
-        If True, the coordinator broadcasts its running maximum after
-        *every* round once it has seen at least one value — the verbatim
-        line 18 of the listing ("coordinator broadcasts maximum max_r of
-        all seen values").  If False (default) it broadcasts only when the
-        running maximum strictly improved, which transmits exactly the same
-        information (a node below the last broadcast is already inactive).
-        Both choices keep all bounds; the delta is measured by ablation A3.
-    """
-
-    charge_start_broadcast: bool = True
-    broadcast_every_round: bool = False
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ dragging the engines (and their ``repro.core`` imports) in circularly.
 
 from typing import TYPE_CHECKING
 
+from repro._lazy import lazy_exports
+
 if TYPE_CHECKING:  # pragma: no cover — static names for type checkers
     from repro.engine.compare import DifferentialReport, differential_check
     from repro.engine.registry import (
@@ -42,34 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover — static names for type checkers
     from repro.engine.results import RunResult
     from repro.engine.vectorized import VectorizedResult
 
-_EXPORTS = {
-    "EngineInfo": "repro.engine.registry",
-    "ENGINES": "repro.engine.registry",
-    "register_engine": "repro.engine.registry",
-    "get_engine": "repro.engine.registry",
-    "list_engines": "repro.engine.registry",
-    "RunResult": "repro.engine.results",
-    "VectorizedResult": "repro.engine.vectorized",
-    "DifferentialReport": "repro.engine.compare",
-    "differential_check": "repro.engine.compare",
-}
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value  # cache: next access skips this hook
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
-
-
 __all__ = [
     "EngineInfo",
     "ENGINES",
@@ -81,3 +55,19 @@ __all__ = [
     "DifferentialReport",
     "differential_check",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.engine.compare": ("DifferentialReport", "differential_check"),
+        "repro.engine.registry": (
+            "ENGINES",
+            "EngineInfo",
+            "get_engine",
+            "list_engines",
+            "register_engine",
+        ),
+        "repro.engine.results": ("RunResult",),
+        "repro.engine.vectorized": ("VectorizedResult",),
+    },
+)

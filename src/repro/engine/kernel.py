@@ -293,13 +293,25 @@ class FilterState:
 
     @classmethod
     def from_snapshot(cls, data: dict[str, Any]) -> "FilterState":
-        """Rebuild a state captured by :meth:`snapshot` (cache refreshed)."""
+        """Rebuild a state captured by :meth:`snapshot` (cache refreshed).
+
+        Raises
+        ------
+        ConfigurationError
+            For another schema, or packed ``sides`` that are not exactly
+            ``ceil(n/8)`` bytes (unpacking would pad a short string with
+            BOTTOM nodes and drop the tail of a long one).
+        """
         if data.get("schema") != _FILTER_SCHEMA:
             raise ConfigurationError(
                 f"unsupported filter-state schema {data.get('schema')!r}"
             )
         n = int(data["n"])
         packed = np.frombuffer(bytes.fromhex(data["sides"]), dtype=np.uint8)
+        if packed.size != (n + 7) // 8:
+            raise ConfigurationError(
+                f"filter-state sides hold {packed.size} bytes; n={n} needs {(n + 7) // 8}"
+            )
         sides = np.unpackbits(packed, count=n).astype(bool)
         return cls(
             sides=sides,

@@ -1,6 +1,8 @@
 """Engine registry: the pluggable seam for Algorithm-1 implementations.
 
-Three engines ship with the package and self-register on first lookup:
+Three engines ship with the package.  Each registers itself when its module
+is imported, and a lookup by name imports only that engine's module (see
+``_BUILTIN_MODULES``), so a ``fast`` run never loads the faithful monitor:
 
 * ``faithful`` — the object-model monitor (transports, ledger, events;
   audit and every ablation knob).
@@ -43,6 +45,7 @@ builds and checkpoints directly.
 from __future__ import annotations
 
 import importlib
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -95,22 +98,21 @@ class EngineInfo:
 
 ENGINES: dict[str, EngineInfo] = {}
 
-# Built-in engines live in their own modules and self-register at import;
-# they are imported lazily so `import repro` stays cheap and so third-party
-# engines can register before, after, or instead of them.
-_BUILTIN_MODULES = (
-    "repro.engine.faithful",
-    "repro.engine.vectorized",  # registers both counting engines
-)
-_builtins_loaded = False
+# Built-in engine name -> the module that registers it on import.  A lookup
+# imports only the module of the name it asks for, so `import repro` and a
+# `fast` run stay cheap.  Third-party engines can register before or after
+# the built-ins load, but never under a built-in name.
+_BUILTIN_MODULES = {
+    "faithful": "repro.engine.faithful",
+    "fast": "repro.engine.vectorized",
+    "vectorized": "repro.engine.vectorized",
+}
 
 
-def _load_builtins() -> None:
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    for module in _BUILTIN_MODULES:
+def _load_builtin(name: str) -> None:
+    """Import the module that registers built-in engine ``name``, if any."""
+    module = _BUILTIN_MODULES.get(name)
+    if module is not None and name not in ENGINES:
         importlib.import_module(module)
 
 
@@ -142,9 +144,13 @@ def register_engine(
     Raises
     ------
     ConfigurationError
-        If ``name`` is already registered.
+        If ``name`` is already registered, or is a built-in name (taken
+        even before its module has loaded).
     """
-    if name in ENGINES:
+    builtin = _BUILTIN_MODULES.get(name)
+    # A built-in name may be registered only while its own module loads,
+    # i.e. once that module is in ``sys.modules``.
+    if name in ENGINES or (builtin is not None and builtin not in sys.modules):
         raise ConfigurationError(f"engine {name!r} is already registered")
     info = EngineInfo(
         name=name,
@@ -178,12 +184,13 @@ def get_engine(name: str) -> EngineInfo:
     >>> get_engine("fast").supports(CAP_COUNTING)
     True
     """
-    _load_builtins()
+    _load_builtin(name)
     try:
         return ENGINES[name]
     except KeyError:
+        known = sorted(set(ENGINES) | set(_BUILTIN_MODULES))
         raise ConfigurationError(
-            f"unknown engine {name!r}; registered engines: {', '.join(sorted(ENGINES))}"
+            f"unknown engine {name!r}; registered engines: {', '.join(known)}"
         ) from None
 
 
@@ -193,5 +200,6 @@ def list_engines() -> list[EngineInfo]:
     >>> [info.name for info in list_engines()]
     ['faithful', 'fast', 'vectorized']
     """
-    _load_builtins()
+    for name in _BUILTIN_MODULES:
+        _load_builtin(name)
     return [ENGINES[name] for name in sorted(ENGINES)]

@@ -40,7 +40,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.protocols import ProtocolConfig
+from repro.core.config import ProtocolConfig
 from repro.engine.kernel import PHASES as _PHASES
 from repro.engine.kernel import (
     FilterState,
@@ -51,7 +51,7 @@ from repro.engine.registry import CAP_COUNTING, CAP_TRAJECTORY, register_engine
 from repro.engine.results import RunResult
 from repro.errors import ConfigurationError
 from repro.obs.registry import OBS, counter as _obs_counter
-from repro.util.seeding import derive_rng
+from repro.util.seeding import decode_rng_state, derive_rng, encode_rng_state
 from repro.util.validation import check_k, check_matrix
 
 __all__ = ["VectorizedResult", "IncrementalKernel"]
@@ -324,8 +324,6 @@ class IncrementalKernel:
         that never stopped.  Inverse of :meth:`from_snapshot`; the
         streaming service's checkpoint and migration payloads carry it.
         """
-        from repro.core.checkpoint import encode_rng_state
-
         return {
             "schema": KERNEL_SCHEMA_VERSION,
             "kind": "incremental_kernel",
@@ -345,9 +343,17 @@ class IncrementalKernel:
 
     @classmethod
     def from_snapshot(cls, state: dict[str, Any]) -> "IncrementalKernel":
-        """Reconstruct a kernel captured by :meth:`snapshot`."""
-        from repro.core.checkpoint import decode_rng_state
+        """Reconstruct a kernel captured by :meth:`snapshot`.
 
+        Raises
+        ------
+        ConfigurationError
+            For another schema, or a filter state no kernel of this shape
+            can hold: a partition over another ``n``, or a TOP side that is
+            not ``k`` nodes (none before the first row, unless ``k == n``).
+            Such a kernel would answer a wrong top-k, or fail in its first
+            block scan.
+        """
         if state.get("schema") != KERNEL_SCHEMA_VERSION:
             raise ConfigurationError(
                 f"unsupported kernel checkpoint schema {state.get('schema')!r} "
@@ -365,10 +371,22 @@ class IncrementalKernel:
         )
         kernel._t = int(state["t"])
         kernel.filter = FilterState.from_snapshot(state["filter"])
+        if kernel.filter.n != kernel.n:
+            raise ConfigurationError(
+                f"kernel snapshot holds a filter over {kernel.filter.n} nodes, not n={kernel.n}"
+            )
+        top = kernel.filter.top_ids.size
+        expected = kernel.k if kernel.initialized or kernel.trivial else 0
+        if top != expected:
+            raise ConfigurationError(
+                f"kernel snapshot has {top} TOP nodes where k={kernel.k}, t={kernel._t} "
+                f"needs {expected}"
+            )
         kernel.counts = {p: int(state["counts"].get(p, 0)) for p in _PHASES}
         kernel.resets = int(state["resets"])
         kernel.handler_calls = int(state["handler_calls"])
-        kernel._rng = decode_rng_state(state["rng_state"])
+        # Into the generator the constructor built: no second one to discard.
+        kernel._rng = decode_rng_state(state["rng_state"], kernel._rng)
         return kernel
 
 

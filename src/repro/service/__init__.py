@@ -49,21 +49,21 @@ other engine is refused.  The instrumented in-process form of a live
 session is :class:`~repro.core.monitor.OnlineSession`.
 """
 
-from repro.service.client import ServiceClient, SessionHandle
-from repro.service.fleet import (
-    FleetHandle,
-    FleetRouter,
-    HashRing,
-    start_fleet,
-)
-from repro.service.manager import (
-    DEFAULT_INBOX_LIMIT,
-    DEFAULT_MAX_NODES,
-    SessionManager,
-    SessionView,
-)
-from repro.service.metrics import MetricsRecorder, MetricsSnapshot, aggregate_snapshots
-from repro.service.server import ServerHandle, ServiceServer, start_server
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover — static names for type checkers
+    from repro.service.client import ServiceClient, SessionHandle
+    from repro.service.fleet import FleetHandle, FleetRouter, HashRing, start_fleet
+    from repro.service.manager import (
+        DEFAULT_INBOX_LIMIT,
+        DEFAULT_MAX_NODES,
+        SessionManager,
+        SessionView,
+    )
+    from repro.service.metrics import MetricsRecorder, MetricsSnapshot, aggregate_snapshots
+    from repro.service.server import ServerHandle, ServiceServer, start_server
 
 __all__ = [
     "SessionManager",
@@ -83,3 +83,21 @@ __all__ = [
     "DEFAULT_INBOX_LIMIT",
     "DEFAULT_MAX_NODES",
 ]
+
+# Lazy, so a worker (``python -m repro.service --serve``) loads neither the
+# client nor the fleet router it never runs.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.service.client": ("ServiceClient", "SessionHandle"),
+        "repro.service.fleet": ("FleetHandle", "FleetRouter", "HashRing", "start_fleet"),
+        "repro.service.manager": (
+            "DEFAULT_INBOX_LIMIT",
+            "DEFAULT_MAX_NODES",
+            "SessionManager",
+            "SessionView",
+        ),
+        "repro.service.metrics": ("MetricsRecorder", "MetricsSnapshot", "aggregate_snapshots"),
+        "repro.service.server": ("ServerHandle", "ServiceServer", "start_server"),
+    },
+)

@@ -614,8 +614,9 @@ class SessionManager:
         ------
         ConfigurationError
             For an unsupported schema, an invalid or duplicate session id,
-            an engine other than :data:`SESSION_ENGINE`, or a pending inbox
-            that is not a ``(B, n)`` integer batch.
+            an engine other than :data:`SESSION_ENGINE`, a corrupt kernel
+            snapshot, or a pending inbox that is not a ``(B, n)`` integer
+            batch.
         """
         if not isinstance(payload, dict) or payload.get("schema") != _CHECKPOINT_SCHEMA:
             raise ConfigurationError(
@@ -652,16 +653,23 @@ class SessionManager:
         ConfigurationError
             If the payload names an engine other than
             :data:`SESSION_ENGINE` (a session of another engine cannot be
-            hosted), or if its pending inbox is not a ``(B, n)`` integer
-            batch — refused here, naming the session, rather than by the
-            first sweep that reaches it.
+            hosted), if its kernel snapshot is missing a field or does not
+            decode to a valid kernel, or if its pending inbox is not a
+            ``(B, n)`` integer batch — refused here, naming the session,
+            rather than by the first query or sweep that reaches it.
         """
         if data.get("engine") != SESSION_ENGINE:
             raise ConfigurationError(
                 f"session {session_id!r} runs engine {data.get('engine')!r}; "
                 f"only {SESSION_ENGINE!r} sessions can be hosted"
             )
-        stepper = IncrementalKernel.from_snapshot(data["state"])
+        try:
+            stepper = IncrementalKernel.from_snapshot(data["state"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"session {session_id!r} has a corrupt kernel snapshot: "
+                f"{type(exc).__name__}: {exc}"
+            ) from None
         session = _Session(session_id, stepper)
         try:
             session.push(_as_block(data["inbox"], stepper.n))
@@ -741,9 +749,9 @@ class SessionManager:
             :meth:`import_session` to move individual sessions), if the
             directory holds no valid manifest, if a session file the
             manifest lists is missing, names an engine other than
-            :data:`SESSION_ENGINE` or holds a pending inbox that is not a
-            ``(B, n)`` integer batch, or if a feed-log record skips rows
-            its session never received.
+            :data:`SESSION_ENGINE`, holds a corrupt kernel snapshot or a
+            pending inbox that is not a ``(B, n)`` integer batch, or if a
+            feed-log record skips rows its session never received.
         """
         if self._sessions:
             raise ConfigurationError(

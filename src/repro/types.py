@@ -12,10 +12,12 @@ The simulation manipulates three kinds of identifiers:
 from __future__ import annotations
 
 import enum
-from typing import TypeAlias
+from typing import TYPE_CHECKING, TypeAlias
 
 import numpy as np
-import numpy.typing as npt
+
+if TYPE_CHECKING:  # numpy.typing costs an import no run-time path needs
+    import numpy.typing as npt
 
 __all__ = [
     "NodeId",
@@ -36,10 +38,10 @@ INT_DTYPE = np.int64
 
 #: A ``(T, n)`` matrix of observations: row ``t`` holds every node's value at
 #: time ``t``.
-ValueMatrix: TypeAlias = npt.NDArray[np.int64]
+ValueMatrix: TypeAlias = "npt.NDArray[np.int64]"
 
 #: A single time step's observations, shape ``(n,)``.
-ValueRow: TypeAlias = npt.NDArray[np.int64]
+ValueRow: TypeAlias = "npt.NDArray[np.int64]"
 
 
 class Side(enum.IntEnum):

@@ -9,17 +9,29 @@ through :class:`numpy.random.SeedSequence` spawning, so that
 * the faithful and the vectorized engines can be driven by *identical*
   randomness, which is what makes exact differential testing possible
   (invariant I4 in DESIGN.md).
+
+:func:`encode_rng_state` / :func:`decode_rng_state` are the one PCG64
+state codec: both checkpoint formats (the faithful
+:class:`~repro.core.monitor.OnlineSession`'s and the counting kernel's)
+persist a session's coin-flip stream through them, so a restored session
+draws exactly the coins one that never stopped would.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["normalize_seed", "derive_rng", "SeedStream"]
+__all__ = [
+    "normalize_seed",
+    "derive_rng",
+    "encode_rng_state",
+    "decode_rng_state",
+    "SeedStream",
+]
 
 
 def normalize_seed(seed: int | None | np.random.SeedSequence) -> np.random.SeedSequence:
@@ -54,6 +66,44 @@ def derive_rng(seed: int | None | np.random.SeedSequence, *keys: int) -> np.rand
         spawn_key=tuple(root.spawn_key) + tuple(int(k) for k in keys),
     )
     return np.random.Generator(np.random.PCG64(child))
+
+
+def encode_rng_state(rng: np.random.Generator) -> dict[str, Any]:
+    """Serialize a PCG64 generator's state into JSON-safe types."""
+    raw = rng.bit_generator.state
+    if raw.get("bit_generator") != "PCG64":
+        raise ConfigurationError(
+            f"only PCG64 sessions can be checkpointed, got {raw.get('bit_generator')}"
+        )
+    return {
+        "bit_generator": "PCG64",
+        "state": int(raw["state"]["state"]),
+        "inc": int(raw["state"]["inc"]),
+        "has_uint32": int(raw["has_uint32"]),
+        "uinteger": int(raw["uinteger"]),
+    }
+
+
+def decode_rng_state(
+    data: dict[str, Any], rng: np.random.Generator | None = None
+) -> np.random.Generator:
+    """Inverse of :func:`encode_rng_state`.
+
+    The state is written into ``rng``, a PCG64 generator the caller has
+    already built (a restored session's own), and ``rng`` is returned; with
+    no ``rng`` a new generator is built for it.
+    """
+    if data.get("bit_generator") != "PCG64":
+        raise ConfigurationError("checkpoint does not contain a PCG64 state")
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": int(data["state"]), "inc": int(data["inc"])},
+        "has_uint32": int(data["has_uint32"]),
+        "uinteger": int(data["uinteger"]),
+    }
+    return rng
 
 
 class SeedStream:

@@ -57,6 +57,7 @@ class TestDocSnippets:
         """The audited public-surface docstring examples stay runnable."""
         proc = _run(
             "-m", "pytest", "--doctest-modules", "-q",
+            "src/repro/__init__.py",
             "src/repro/api.py",
             "src/repro/engine/kernel.py",
             "src/repro/engine/registry.py",

@@ -403,6 +403,38 @@ class TestManagerCheckpoint:
         with pytest.raises(ConfigurationError, match=f"session '{sid}'"):
             SessionManager().import_session(data)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda state: state["filter"].update(sides="00"),
+            lambda state: state["filter"].update(sides="3c00"),
+            lambda state: state["filter"].update(sides="zz00"),
+            lambda state: state["filter"].update(n=8),
+            lambda state: state.update(t=-1),
+            lambda state: state.pop("rng_state"),
+        ],
+        ids=["short-sides", "four-top", "non-hex-sides", "filter-n", "blank-with-top", "no-rng"],
+    )
+    def test_corrupt_kernel_snapshot_is_refused_at_restore(self, corrupt, tmp_path):
+        """A tampered kernel snapshot fails restore and import naming the
+        session, instead of answering a wrong top-k or failing in the
+        first drain."""
+        rows = np.arange(5 * 16).reshape(5, 16) * 7 % 23
+        mgr = SessionManager()
+        sid = mgr.create(16, 3, seed=1)
+        mgr.feed_many(sid, rows)
+        mgr.drain()
+        mgr.checkpoint(tmp_path)
+        path = tmp_path / f"{sid}.json"
+        data = json.loads(path.read_text())
+        corrupt(data["state"])
+        path.write_text(json.dumps(data))
+        match = f"session '{sid}' has a corrupt kernel snapshot"
+        with pytest.raises(ConfigurationError, match=match):
+            SessionManager(restore=tmp_path)
+        with pytest.raises(ConfigurationError, match=match):
+            SessionManager().import_session(data)
+
     def test_other_engine_is_refused_at_restore(self, tmp_path):
         """Every session is the vectorized kernel: a session file or an
         import payload naming another engine fails naming the session."""
