@@ -44,6 +44,7 @@ Example::
 from __future__ import annotations
 
 import importlib
+import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -77,19 +78,18 @@ class BackendInfo:
 
 BACKENDS: dict[str, BackendInfo] = {}
 
-# The queue backend lives in its own module (it drags multiprocessing
-# machinery along) and self-registers at import, mirroring how engines
-# self-register with repro.engine.registry.
-_BUILTIN_MODULES = ("repro.analysis.distributed_backend",)
-_builtins_loaded = False
+# Built-in backend name -> the module that registers it on import, as in
+# the engine registry.  The queue backend lives in its own module (it drags
+# multiprocessing machinery along); the other built-ins register below, as
+# this module loads.  Third-party backends can register before or after
+# the queue backend loads, but never under its name.
+_BUILTIN_MODULES = {"queue": "repro.analysis.distributed_backend"}
 
 
-def _load_builtins() -> None:
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    for module in _BUILTIN_MODULES:
+def _load_builtin(name: str) -> None:
+    """Import the module that registers built-in backend ``name``, if any."""
+    module = _BUILTIN_MODULES.get(name)
+    if module is not None and name not in BACKENDS:
         importlib.import_module(module)
 
 
@@ -110,8 +110,14 @@ def register_backend(name: str, *, description: str):
     Raises
     ------
     ConfigurationError
-        If ``name`` is already registered.
+        If ``name`` is already registered, or is a built-in name (taken
+        even before its module has loaded).
     """
+    builtin = _BUILTIN_MODULES.get(name)
+    # A built-in name may be registered only while its own module loads,
+    # i.e. once that module is in ``sys.modules``.
+    if name in BACKENDS or (builtin is not None and builtin not in sys.modules):
+        raise ConfigurationError(f"backend {name!r} is already registered")
 
     def deco(fn: BackendRunner) -> BackendRunner:
         if name in BACKENDS:
@@ -140,7 +146,7 @@ def get_backend(name: str) -> BackendInfo:
     ConfigurationError
         If no backend of that name is registered.
     """
-    _load_builtins()
+    _load_builtin(name)
     try:
         return BACKENDS[name]
     except KeyError:
@@ -152,7 +158,8 @@ def get_backend(name: str) -> BackendInfo:
 
 def list_backends() -> list[BackendInfo]:
     """All registered backends in name order (built-ins loaded on demand)."""
-    _load_builtins()
+    for name in _BUILTIN_MODULES:
+        _load_builtin(name)
     return [BACKENDS[name] for name in sorted(BACKENDS)]
 
 

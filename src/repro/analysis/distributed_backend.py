@@ -69,6 +69,14 @@ from repro.obs.registry import (
 )
 from repro.util.optionstate import OptionState
 
+if __name__ == "__main__":
+    # `python -m repro.analysis.distributed_backend` executes this module as
+    # __main__; alias the canonical name before "queue" registers below, so
+    # the registry sees the built-in's own module, and so that importing the
+    # worker's measure (whose module may import this one, directly or
+    # through the backend registry) does not re-execute the body.
+    sys.modules.setdefault("repro.analysis.distributed_backend", sys.modules[__name__])
+
 __all__ = [
     "QueueOptions",
     "set_queue_options",
@@ -450,9 +458,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    # `python -m repro.analysis.distributed_backend` executes this module as
-    # __main__; alias the canonical name so that importing the worker's
-    # measure (whose module may import this one, directly or through the
-    # backend registry) does not re-execute the body and re-register "queue".
-    sys.modules.setdefault("repro.analysis.distributed_backend", sys.modules[__name__])
     raise SystemExit(main())

@@ -17,11 +17,16 @@ Vegas: it *always* returns the exact maximum, only the number of messages is
 random — Theorem 4.2 shows ``E[messages] <= 2 log2 N + 1`` and ``O(log N)``
 w.h.p.; Theorem 4.3 shows ``Ω(log n)`` is necessary.
 
-Randomness convention (important for differential testing, see DESIGN.md):
-each round draws ``rng.random(size=#active)`` over the active participants
-in ascending node-id order, *including* in the forced final round.  Any
+Randomness convention (important for differential testing): a fresh coin
+per round that stops at its first success is the same law as drawing, once,
+the round of that first success.  So each execution draws
+``rng.random(size=#participants)`` once, at its start, over the
+participants in ascending node-id order, and maps each uniform ``u`` to the
+smallest round ``r`` with ``u < F_r``, where ``F_r`` is the chance of a
+success by round ``r`` (:func:`repro.engine.kernel.first_send_table`).  A
+participant sends in that round if it is still active then.  Any
 implementation following this convention produces bit-identical message
-counts for the same seed.
+counts for the same seed; winners never depend on the coins.
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.config import ProtocolConfig
+from repro.engine.kernel import first_send_rounds, first_send_table
 from repro.errors import ConfigurationError, ProtocolError
 from repro.model.message import Phase
 from repro.model.transport import Transport
-from repro.util.intmath import ceil_log2
 
 __all__ = [
     "ProtocolConfig",
@@ -105,7 +110,10 @@ def _extremum_protocol(
     if transport is not None and coordinator_initiated and config.charge_start_broadcast:
         transport.broadcast(("protocol_start", phase.value), Phase.PROTOCOL_START)
 
-    n_rounds = ceil_log2(upper_bound) + 1 if upper_bound > 1 else 1
+    # One uniform per participant, in ascending id order, fixes the round
+    # of its first coin success (randomness convention).
+    table = first_send_table(upper_bound)
+    first_round = first_send_rounds(rng.random(m), table)
     active = np.ones(m, dtype=bool)
     best_key: int | None = None  # last *broadcast* running extremum
     coord_best_key: int | None = None  # best the coordinator has received
@@ -114,7 +122,7 @@ def _extremum_protocol(
     broadcasts = 0
     rounds_run = 0
 
-    for r in range(n_rounds):
+    for r in range(table.size):
         if not active.any():
             break
         # Deactivation by the last broadcast value (strict comparison: ties
@@ -124,10 +132,7 @@ def _extremum_protocol(
             if not active.any():
                 break
         rounds_run += 1
-        p = min(1.0, (2.0**r) / upper_bound)
-        active_idx = np.flatnonzero(active)
-        draws = rng.random(active_idx.size)
-        senders = active_idx[draws < p]
+        senders = np.flatnonzero(active & (first_round == r))
         round_got_message = senders.size > 0
         improved = False
         for j in senders:

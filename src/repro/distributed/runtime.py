@@ -1,8 +1,9 @@
 """The simulation runtime clocking the distributed state machines.
 
 The runtime plays the role of the physical world: it delivers observations,
-clocks protocol rounds, carries messages, and supplies the per-round coin
-vector (following the shared randomness convention, so results are
+clocks protocol rounds, carries messages, and supplies each participant's
+coin (following the shared randomness convention — one uniform per
+participant per execution fixes its first-send round — so results are
 bit-comparable with the other two engines).  All *decisions* live in the
 agents; grep this file for ``node.`` / ``coordinator.`` calls to verify the
 runtime never peeks at values beyond delivering them.
@@ -29,12 +30,12 @@ import numpy as np
 
 from repro.distributed.coordinator import CoordinatorAgent, ProtocolBook
 from repro.distributed.node import NodeAgent
+from repro.engine.kernel import first_send_rounds, first_send_table
 from repro.model.ledger import MessageLedger
 from repro.model.message import MessageKind, Phase
 from repro.obs.registry import OBS, counter as _obs_counter
 from repro.obs.trace import span as _obs_span
 from repro.types import Side
-from repro.util.intmath import ceil_log2
 from repro.util.seeding import derive_rng
 from repro.util.validation import check_k, check_matrix
 
@@ -150,22 +151,23 @@ class _Runtime:
         """Clock one max/min protocol over already-armed participants.
 
         Participants must be armed; rounds follow Algorithm 2 with the
-        shared randomness convention (one uniform vector per round over the
-        active participants in ascending id order).
+        shared randomness convention: one uniform per participant, drawn
+        in ascending id order when the execution starts, fixes the round
+        of its first coin success (:func:`~repro.engine.kernel.first_send_rounds`),
+        and in each round every still-active node is handed its coin.
         """
         book = ProtocolBook(sign)
         participants = sorted(participants, key=lambda nd: nd.id)
-        n_rounds = ceil_log2(upper_bound) + 1 if upper_bound > 1 else 1
-        for r in range(n_rounds):
-            active = [nd for nd in participants if nd.protocol_active]
+        table = first_send_table(upper_bound)
+        first_round = first_send_rounds(self.rng.random(len(participants)), table).tolist()
+        for r in range(table.size):
+            active = [(nd, fr) for nd, fr in zip(participants, first_round) if nd.protocol_active]
             if not active:
                 break
             matured, improved_this_round = self._flush_delayed(book, phase, r)
             got_message = matured > 0
-            p = min(1.0, (2.0**r) / upper_bound)
-            draws = self.rng.random(len(active))
-            for nd, u in zip(active, draws):
-                msg = nd.coin(bool(u < p))
+            for nd, fr in active:
+                msg = nd.coin(fr == r)
                 if msg is not None:
                     got_message = True
                     if self._deliver_reply(book, nd, msg, phase, r):

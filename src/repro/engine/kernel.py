@@ -25,19 +25,25 @@ block scans the doubled comparisons fold into integer thresholds on the
 raw reductions — ``2·v < M2  ⇔  v < ceil(M2/2)`` and ``2·v > M2  ⇔
 v > floor(M2/2)`` — exact for any sign.
 
-The module also hosts the shared *round loop* (Algorithm 2 with message
-accounting: :func:`protocol_run`, :func:`reset_sweeps`) so the protocol
-semantics cannot drift between the counting engines, and the
-:meth:`FilterState.snapshot` / :meth:`FilterState.from_snapshot` pair the
-checkpoint layer (:mod:`repro.core.checkpoint`) builds session
+The module also prices Algorithm 2 for the counting engines
+(:func:`protocol_run` for one execution, :func:`reset_sweeps` for a
+reset's ``k+1`` sweeps at once) so the protocol semantics cannot drift
+between them, and it holds the randomness convention all three engines
+share: one uniform per participant per execution, drawn in ascending id
+order when the execution starts, fixes the round of the participant's
+first coin success (:func:`first_send_table`, :func:`first_send_rounds`).
+The faithful protocol and the distributed runtime clock rounds one by one
+with those coins; here a whole execution is a few array passes.  It also
+hosts the :meth:`FilterState.snapshot` / :meth:`FilterState.from_snapshot`
+pair the checkpoint layer (:mod:`repro.core.checkpoint`) builds session
 checkpoint/restore on.
 
 This module deliberately imports nothing from :mod:`repro.core` or
 :mod:`repro.service` — it is the layer below all of them.  The one
 upward-looking exception is :mod:`repro.obs` (itself a leaf): when
-``OBS.on`` the round loop publishes per-phase run/message/timer series
-into the unified metrics registry, and when it is off (the default) the
-only cost is one boolean attribute load per protocol execution.
+``OBS.on`` the protocol executions publish per-phase run/message/timer
+series into the unified metrics registry, and when it is off (the
+default) the only cost is one boolean attribute load per execution.
 """
 
 from __future__ import annotations
@@ -57,6 +63,8 @@ __all__ = [
     "violates_value",
     "protocol_run",
     "reset_sweeps",
+    "first_send_table",
+    "first_send_rounds",
     "PHASES",
 ]
 
@@ -340,112 +348,105 @@ def violates_stacked(rows: np.ndarray, states: Sequence[FilterState]) -> np.ndar
 
 
 # --------------------------------------------------------------------------
-# The shared round loop: Algorithm 2 with unit-cost message accounting.
+# Algorithm 2 priced in array passes, with unit-cost message accounting.
 # --------------------------------------------------------------------------
 
-# Memoized per-upper-bound send-probability schedules.  Entries are computed
-# with the exact expression ``2.0**r / upper_bound`` so the coin comparisons
-# stay bit-identical to the faithful engine's per-round computation.
-_SCHEDULES: dict[int, tuple[float, ...]] = {}
+# Memoized per-upper-bound first-send tables (see :func:`first_send_table`).
+_FIRST_SEND: dict[int, np.ndarray] = {}
+
+# The running maximum of an execution before its first non-empty round.
+# Every int64 is ``>=`` it, so a participant of that round passes the send
+# test against it whatever its value; the strict broadcast test cannot
+# rely on it and reads presence instead.
+_EMPTY = np.iinfo(np.int64).min
+
+# Reset sweeps are priced in groups of at most this many participants (and
+# at least one sweep), so a reset's working memory stays bounded at any n.
+_PRICE_CAP = 1 << 16
+
+# ``starts`` of a lone execution, for :func:`_price`.
+_ONE_EXECUTION = np.zeros(1, dtype=np.intp)
 
 
-def _schedule(upper_bound: int) -> tuple[float, ...]:
-    sched = _SCHEDULES.get(upper_bound)
-    if sched is None:
-        n_rounds = ceil_log2(upper_bound) + 1 if upper_bound > 1 else 1
-        sched = tuple((2.0**r) / upper_bound for r in range(n_rounds))
-        _SCHEDULES[upper_bound] = sched
-    return sched
+def first_send_table(upper_bound: int) -> np.ndarray:
+    """Cumulative first-send probabilities of Algorithm 2 for bound ``N``.
 
+    Round ``r = 0..ceil(log2 N)`` has send probability ``p_r = min(1,
+    2^r/N)``; row ``r`` holds ``F_r = 1 − ∏_{s≤r}(1 − p_s)``, the chance a
+    participant's coin has come up by round ``r``, and the last row is
+    exactly 1 (the forced round).  A participant whose uniform ``u`` draws
+    the smallest ``r`` with ``u < F_r`` sends in round ``r`` if it is still
+    active then — the same law as a fresh coin in every round, with one
+    uniform per participant per execution.  One read-only ``(rounds, 1)``
+    column per ``N``, shared by all three engines; ``table.size`` is the
+    round count.
 
-def _round_loop(
-    ids: np.ndarray,
-    keyed: np.ndarray,
-    upper_bound: int,
-    rng: np.random.Generator,
-) -> tuple[int, int, int, int]:
-    """One Algorithm-2 execution over ``sign``-keyed values.
-
-    ``ids``/``keyed`` must already be in ascending-id order.  Returns
-    ``(winner_id, keyed_value, node_messages, round_broadcasts)``.
+    >>> first_send_table(4).ravel().tolist()
+    [0.25, 0.625, 1.0]
     """
-    sched = _schedule(upper_bound)
-    rand = rng.random
-    if ids.size == 1:
-        # Scalar fast path: a single participant keeps flipping its coin
-        # (consuming one draw per round, exactly like the array path) until
-        # it sends; its first message is always an improvement broadcast.
-        wid = int(ids[0])
-        val = int(keyed[0])
-        for p in sched:
-            if rand() < p:
-                return wid, val, 1, 1
-        raise AssertionError("final round forces sends")
-    act_ids = ids
-    act_keyed = keyed
-    best: int | None = None
-    best_id = -1
-    node_msgs = 0
-    bcasts = 0
-    for p in sched:
-        m = act_ids.size
-        if m == 0:
-            break
-        # The draw happens every round over the active set in ascending id
-        # order — the shared randomness convention; never skip it.
-        draws = rand(m)
-        if p < 1.0:
-            sid = (draws < p).nonzero()[0]  # integer gathers: senders are few
-            s = sid.size
-            if s == 0:
-                continue  # nobody sent; nothing changes this round
-        else:
-            sid = None  # forced round: everyone still active sends
-            s = m
-        node_msgs += s
-        if sid is None:
-            j = int(act_keyed.argmax())  # first max = lowest id among senders
-            round_best = int(act_keyed[j])
-            round_best_id = int(act_ids[j])
-        elif s == 1:
-            i0 = int(sid[0])
-            round_best = int(act_keyed[i0])
-            round_best_id = int(act_ids[i0])
-        else:
-            sk = act_keyed[sid]
-            j = int(sk.argmax())
-            round_best = int(sk[j])
-            round_best_id = int(act_ids[sid[j]])
-        improved = best is None or round_best > best
-        if improved:
-            best = round_best
-            best_id = round_best_id
-        elif round_best == best and round_best_id < best_id:
-            best_id = round_best_id
-        if improved:
-            bcasts += 1
-            # The broadcast deactivates every node below the new maximum;
-            # senders deactivate regardless.
-            keep = act_keyed >= best
-            if sid is not None:
-                keep[sid] = False
-            act_ids = act_ids[keep]
-            act_keyed = act_keyed[keep]
-        elif sid is not None:
-            keep = np.ones(m, dtype=bool)
-            keep[sid] = False
-            act_ids = act_ids[keep]
-            act_keyed = act_keyed[keep]
-        else:
-            break  # forced round with no improvement: nobody remains
-    assert best is not None, "final round forces sends"
-    return best_id, best, node_msgs, bcasts
+    table = _FIRST_SEND.get(upper_bound)
+    if table is None:
+        n_rounds = ceil_log2(upper_bound) + 1 if upper_bound > 1 else 1
+        silent = np.cumprod([1.0 - min(1.0, (2.0**r) / upper_bound) for r in range(n_rounds)])
+        table = (1.0 - silent)[:, None]
+        table[-1] = 1.0
+        table.flags.writeable = False
+        _FIRST_SEND[upper_bound] = table
+    return table
 
 
-# Unified-registry families the round loop publishes into when ``OBS.on``
-# (see repro/obs): executions, node messages and improvement broadcasts
-# per phase, plus a per-phase wall-time account.  Declared here, at import,
-# like every other self-registering family.
+def first_send_rounds(draws: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Each draw's first-send round: the smallest ``r`` with ``u < F_r``.
+
+    Compares every draw with every row of ``table`` (the last, 1, never
+    passes) and counts the thresholds passed — ``int8`` suffices for the
+    at most 64 rounds of an int64 bound.
+    """
+    return np.add.reduce(draws >= table, axis=0, dtype=np.int8)
+
+
+def _price(keyed: np.ndarray, cell: np.ndarray, starts: np.ndarray, n_rounds: int) -> tuple[int, int]:
+    """Node messages and round broadcasts of executions laid end to end.
+
+    Execution ``s`` holds the participants from ``starts[s]`` to the next
+    start; ``keyed`` is each participant's keyed value and ``cell`` its
+    ``s · (n_rounds + 1) + first-send round``.  Row ``s`` of ``upto``
+    gets, in column ``c``, the largest value among the execution's
+    participants of rounds ``< c``.  The largest value of the earlier
+    rounds was always sent (no broadcast exceeds it), so a participant is
+    still active in its round — and sends — iff its value is ``>=`` that
+    column (``_EMPTY`` when no earlier round had a participant, which
+    every value passes).  An execution's first non-empty round, found by
+    presence, broadcasts; a later round broadcasts iff it raises ``upto``.
+    """
+    width = n_rounds + 1
+    upto = np.empty(starts.size * width, dtype=np.int64)
+    upto.fill(_EMPTY)
+    np.maximum.at(upto[1:], cell, keyed)  # round r's maximum lands in column r + 1
+    rows = upto.reshape(-1, width)
+    np.maximum.accumulate(rows, axis=1, out=rows)
+    node_msgs = np.count_nonzero(keyed >= upto[cell])
+    # Rises never cross rows: a row starts at _EMPTY, which exceeds nothing.
+    rises = upto[1:] > upto[:-1]
+    first = np.minimum.reduceat(cell, starts)  # cell of each first non-empty round
+    bcasts = starts.size + np.count_nonzero(rises) - np.count_nonzero(rises[first])
+    return int(node_msgs), int(bcasts)
+
+
+def _ranked(row: np.ndarray, m: int) -> np.ndarray:
+    """Ids of the ``m`` largest values, by value descending then id
+    ascending — the winners of ``m`` repeated max sweeps, in sweep order.
+    A partition finds the ``m``-th value; only the ids at or above it are
+    sorted."""
+    cut = np.partition(row, row.size - m)[row.size - m]
+    ids = np.flatnonzero(row >= cut)
+    return ids[np.argsort(-row[ids], kind="stable")[:m]]
+
+
+# Unified-registry families the protocol executions publish into when
+# ``OBS.on`` (see repro/obs): executions, node messages and improvement
+# broadcasts per phase, plus a per-phase wall-time account.  Declared here,
+# at import, like every other self-registering family.
 _OBS_RUNS = _obs_counter(
     "repro_engine_protocol_runs_total", "Algorithm-2 protocol executions", ("phase",)
 )
@@ -467,7 +468,7 @@ _OBS_SECONDS = _obs_counter(
 _OBS_PHASE_SERIES: dict[str, tuple] = {}
 
 
-def _obs_phase_series(phase: str) -> tuple:
+def _obs_publish(phase: str, runs: int, msgs: int, bcasts: int, seconds: float) -> None:
     series = _OBS_PHASE_SERIES.get(phase)
     if series is None:
         series = _OBS_PHASE_SERIES[phase] = (
@@ -476,7 +477,11 @@ def _obs_phase_series(phase: str) -> tuple:
             _OBS_MSGS.labels(phase=phase),
             _OBS_ROUNDS.labels(phase=phase),
         )
-    return series
+    secs, total_runs, total_msgs, total_bcasts = series
+    secs.value += seconds
+    total_runs.value += runs
+    total_msgs.value += msgs
+    total_bcasts.value += bcasts
 
 
 def protocol_run(
@@ -492,44 +497,78 @@ def protocol_run(
 ):
     """One accounted protocol execution, shared by the counting engines.
 
-    Returns ``(winner_id, value)`` or ``None`` when there are no
-    participants; message/broadcast counters accumulate into ``counts``.
+    ``participants`` must ascend.  Draws one uniform per participant
+    (:func:`first_send_rounds`) and prices the execution in one
+    :func:`_price` pass.  Returns ``(winner_id, value)`` — the lowest id
+    among the extreme values — or ``None`` when there are no participants;
+    message/broadcast counters accumulate into ``counts``.
     """
-    if participants.size == 0:
+    m = participants.size
+    if m == 0:
         return None
     if initiated:
         counts["protocol_start"] += start_charge
     keyed = row[participants] if sign > 0 else -row[participants]
-    if OBS.on:
-        t0 = _obs_clock()
-        wid, best, msgs, bcasts = _round_loop(participants, keyed, upper, rng)
-        secs, runs, pmsgs, prounds = _obs_phase_series(phase)
-        secs.value += _obs_clock() - t0
-        runs.value += 1.0
-        pmsgs.value += msgs
-        prounds.value += bcasts
+    t0 = _obs_clock() if OBS.on else 0.0
+    if m == 1:
+        rng.random()  # its coin; a lone participant sends, and that is news
+        j, msgs, bcasts = 0, 1, 1
     else:
-        wid, best, msgs, bcasts = _round_loop(participants, keyed, upper, rng)
+        j = int(keyed.argmax())  # first maximum: the lowest id
+        table = first_send_table(upper)
+        rounds = first_send_rounds(rng.random(m), table)
+        msgs, bcasts = _price(keyed, rounds, _ONE_EXECUTION, table.size)
+    if OBS.on:
+        _obs_publish(phase, 1, msgs, bcasts, _obs_clock() - t0)
     counts[phase] += msgs
     counts["protocol_round"] += bcasts
-    return wid, sign * best
+    return int(participants[j]), sign * int(keyed[j])
 
 
-def reset_sweeps(ids: np.ndarray, row: np.ndarray, n: int, k: int, protocol_run):
+def reset_sweeps(
+    row: np.ndarray,
+    k: int,
+    counts: dict[str, int],
+    rng: np.random.Generator,
+    start_charge: int,
+) -> tuple[list[int], list[int]]:
     """The ``k+1`` coordinator-initiated max sweeps of a ``FilterReset``.
 
+    Sweep ``j`` runs over every node but the ``j`` earlier winners, in
+    ascending id order, so its winner is the ``j``-th ranked node whatever
+    the coins (Las Vegas); the coins only price it.  The sweeps are priced
+    together: one ``rng.random`` call per group of sweeps — the same
+    stream as one call per sweep — and one :func:`_price` pass per group.
     Shared by the counting engines so the reset protocol semantics cannot
     drift between them (invariant I4).  Returns ``(winners, winner_vals)``
     ordered by rank.
     """
-    remaining = np.ones(n, dtype=bool)
-    winners: list[int] = []
-    winner_vals: list[int] = []
-    for _ in range(k + 1):
-        part = ids[remaining]
-        out = protocol_run(part, row, n, +1, "reset_protocol", True)
-        assert out is not None
-        winners.append(out[0])
-        winner_vals.append(out[1])
-        remaining[out[0]] = False
-    return winners, winner_vals
+    n = row.size
+    t0 = _obs_clock() if OBS.on else 0.0
+    winners = _ranked(row, k + 1)
+    rank = np.full(n, k + 1, dtype=np.int64)
+    rank[winners] = np.arange(k + 1)
+    table = first_send_table(n)
+    width = table.size + 1
+    per_group = max(1, _PRICE_CAP // n)
+    msgs = bcasts = 0
+    for first in range(0, k + 1, per_group):
+        sweeps = np.arange(first, min(k + 1, first + per_group))
+        # Sweep j's participants, in ascending id order, are the nodes
+        # ranked j or lower.
+        member = rank >= sweeps[:, None]
+        grid = np.empty(member.shape, dtype=np.int64)
+        grid[:] = row
+        keyed = grid[member]
+        sizes = n - sweeps
+        rounds = first_send_rounds(rng.random(keyed.size), table)
+        cell = np.repeat(np.arange(0, sweeps.size * width, width), sizes) + rounds
+        group_msgs, group_bcasts = _price(keyed, cell, np.cumsum(sizes) - sizes, table.size)
+        msgs += group_msgs
+        bcasts += group_bcasts
+    if OBS.on:
+        _obs_publish("reset_protocol", k + 1, msgs, bcasts, _obs_clock() - t0)
+    counts["protocol_start"] += (k + 1) * start_charge
+    counts["reset_protocol"] += msgs
+    counts["protocol_round"] += bcasts
+    return winners.tolist(), row[winners].tolist()

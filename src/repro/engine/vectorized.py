@@ -26,11 +26,14 @@ which this module shares with the faithful monitor and the streaming
 service: the ``2·v`` vs ``M2`` comparison is implemented exactly once,
 there.
 
-Randomness convention (shared with the faithful engine): every protocol
-round draws ``rng.random(size=#active)`` over active participants in
-ascending node-id order, including the forced final round.  Quiet steps
-consume no randomness, so both engines are bit-identical to each other and
-to the faithful engine.
+Randomness convention (shared with the faithful and distributed engines,
+see :func:`repro.engine.kernel.first_send_table`): every protocol
+execution draws ``rng.random(size=#participants)`` once, at its start, over
+the participants in ascending node-id order; each uniform fixes the round
+of that participant's first coin success.  A reset's ``k+1`` sweeps draw
+in sweep order, so one call over all of them is the same stream.  Quiet
+steps consume no randomness, so both engines are bit-identical to each
+other and to the faithful engine.
 """
 
 from __future__ import annotations
@@ -149,7 +152,6 @@ class IncrementalKernel:
         self.reset_times: list[int] = []  # reprolint: disable=R5
         self.handler_times: list[int] = []  # reprolint: disable=R5
         # Derived from n / k — rebuilt by __init__ on restore.
-        self._ids = np.arange(self.n, dtype=np.int64)  # reprolint: disable=R5
         self.trivial = self.k == self.n  # reprolint: disable=R5
         #: The shared filter state (partition + doubled bound + extremes);
         #: read by batch schedulers and the lookahead scan.
@@ -310,7 +312,9 @@ class IncrementalKernel:
         self.resets += 1
         if self._track_times:
             self.reset_times.append(self._t)
-        winners, winner_vals = _reset_sweeps(self._ids, row, self.n, self.k, self._protocol)
+        winners, winner_vals = _reset_sweeps(
+            row, self.k, self.counts, self._rng, self._start_charge
+        )
         self.counts["reset_broadcast"] += 1
         self.filter.install(winners[: self.k], winner_vals[self.k - 1], winner_vals[self.k])
 

@@ -1,6 +1,6 @@
 """The unified metrics registry: counters, gauges and histograms.
 
-Every layer that has something to count — the engine round loop, the
+Every layer that has something to count — the engine's protocol runs, the
 distributed runtime, the sweep backends, the session service, the fleet
 router — declares its metric *families* at import time with
 :func:`counter` / :func:`gauge` / :func:`histogram`, the same

@@ -654,8 +654,8 @@ class SessionManager:
             If the payload names an engine other than
             :data:`SESSION_ENGINE` (a session of another engine cannot be
             hosted), if its kernel snapshot is missing a field or does not
-            decode to a valid kernel, or if its pending inbox is not a
-            ``(B, n)`` integer batch — refused here, naming the session,
+            decode to a valid kernel, or if its pending inbox is missing or
+            not a ``(B, n)`` integer batch — refused here, naming the session,
             rather than by the first query or sweep that reaches it.
         """
         if data.get("engine") != SESSION_ENGINE:
@@ -672,6 +672,8 @@ class SessionManager:
             ) from None
         session = _Session(session_id, stepper)
         try:
+            if "inbox" not in data:
+                raise ConfigurationError("the payload has no inbox")
             session.push(_as_block(data["inbox"], stepper.n))
         except ConfigurationError as exc:
             raise ConfigurationError(

@@ -163,6 +163,31 @@ def test_builtin_name_is_refused_before_the_builtins_load():
     assert description != "impostor"
 
 
+def test_builtin_backend_name_is_refused_before_the_builtins_load():
+    """The sweep-backend registry keeps the same rule: registering under the
+    queue backend's name fails at the call, before its module loads, and
+    both lookups after it answer with the built-in."""
+    (refusal, loaded, first, second) = _fresh(
+        """
+        from repro.analysis.backends import get_backend, register_backend
+        from repro.errors import ConfigurationError
+
+        try:
+            register_backend("queue", description="impostor")(print)
+            refusal = None
+        except ConfigurationError as exc:
+            refusal = str(exc)
+        print(json.dumps(refusal))
+        print(json.dumps("repro.analysis.distributed_backend" in sys.modules))
+        print(json.dumps(get_backend("queue").description))
+        print(json.dumps(get_backend("queue").description))
+        """
+    )
+    assert refusal == "backend 'queue' is already registered"
+    assert loaded is False
+    assert first == second != "impostor"
+
+
 def test_restored_kernel_rng_state_is_bit_identical():
     """``from_snapshot`` writes the saved PCG64 state into the kernel's own
     generator: the restored stream is the one that was saved."""

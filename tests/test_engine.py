@@ -188,6 +188,24 @@ class TestThreeWayDifferential:
         assert _counting_results_equal(vec, fast), f"seed={seed}"
 
 
+class TestCoinsNeverChangeTheAnswer:
+    """Algorithm 2 is Las Vegas: the coins price an execution, never its
+    winner.  So one matrix run under two seeds keeps its trajectory, reset
+    times and handler times on every catalog workload; only the message
+    counts may differ."""
+
+    @pytest.mark.parametrize("engine", ["fast", "faithful"])
+    @pytest.mark.parametrize("name", list_workloads())
+    def test_two_seeds_same_trajectory(self, name, engine):
+        overrides = {"k": 3} if name == "crossing_pair" else {}
+        values = get_workload(name, 12, 200, seed=9, **overrides).generate()
+        a = _run(values, 3, seed=1, engine=engine)
+        b = _run(values, 3, seed=2, engine=engine)
+        assert np.array_equal(a.topk_history, b.topk_history)
+        assert a.reset_times == b.reset_times
+        assert a.handler_times == b.handler_times
+
+
 class TestVectorizedSpeedup:
     def test_faster_than_faithful_on_large_instance(self):
         """The vectorized engine exists to be faster; verify it is."""

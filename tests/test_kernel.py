@@ -6,23 +6,35 @@ lookahead, shared by the fast engine and the service) — must agree with
 the brute-force doubled comparison
 ``sides & (2·v < M2) | ~sides & (2·v > M2)`` on arbitrary states,
 including negative values and odd (half-integer midpoint) bounds.
+
+The kernel's Algorithm-2 pricing is held to two references: a reset's
+one-pass pricing to the same ``k+1`` sweeps priced one execution at a
+time, and the first-send sampler's law to a fresh coin per round.
 """
 
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.protocols import maximum_protocol, minimum_protocol
+from repro.engine import kernel
 from repro.engine.kernel import (
+    PHASES,
     FilterState,
+    first_send_table,
+    protocol_run,
+    reset_sweeps,
     violates_stacked,
     violates_value,
 )
 from repro.errors import ConfigurationError
+from repro.util.intmath import ceil_log2
 
 
 def _random_state(rng: np.random.Generator, n: int) -> FilterState:
@@ -196,3 +208,164 @@ class TestSnapshot:
         data["schema"] = 99
         with pytest.raises(ConfigurationError):
             FilterState.from_snapshot(data)
+
+
+def _per_round_coins(ids, keyed, upper_bound, rng):
+    """Algorithm 2 with a fresh coin per round: the convention before 7.0,
+    kept as the oracle for the first-send sampler's law.
+
+    Every round draws ``rng.random(#active)`` over the active participants
+    in ascending id order; senders leave, and a strictly larger value is
+    broadcast and deactivates every participant below it.  Returns
+    ``(winner_id, keyed_value, node_messages, round_broadcasts)``.
+    """
+    n_rounds = ceil_log2(upper_bound) + 1 if upper_bound > 1 else 1
+    act_ids, act_keyed = ids, keyed
+    best, best_id, node_msgs, bcasts = None, -1, 0, 0
+    for r in range(n_rounds):
+        if act_ids.size == 0:
+            break
+        sent = rng.random(act_ids.size) < min(1.0, (2.0**r) / upper_bound)
+        if not sent.any():
+            continue
+        node_msgs += int(sent.sum())
+        j = int(np.flatnonzero(sent)[act_keyed[sent].argmax()])
+        if best is None or act_keyed[j] > best:
+            best, best_id = int(act_keyed[j]), int(act_ids[j])
+            bcasts += 1
+            keep = (act_keyed >= best) & ~sent
+        else:
+            keep = ~sent
+        act_ids, act_keyed = act_ids[keep], act_keyed[keep]
+    return best_id, best, node_msgs, bcasts
+
+
+def _blank_counts() -> dict[str, int]:
+    return {p: 0 for p in PHASES}
+
+
+class TestFirstSendPricing:
+    @pytest.mark.parametrize("upper", [1, 2, 3, 8, 56, 64, 1000, 4096])
+    def test_table_is_the_cumulative_first_success_law(self, upper):
+        table = first_send_table(upper)
+        n_rounds = ceil_log2(upper) + 1 if upper > 1 else 1
+        p = np.minimum(1.0, 2.0 ** np.arange(n_rounds) / upper)
+        cdf = table.ravel()
+        assert table.shape == (n_rounds, 1)
+        assert cdf[-1] == 1.0
+        assert np.all(np.diff(cdf) > 0)
+        assert np.allclose(cdf, 1.0 - np.cumprod(1.0 - p))
+        assert first_send_table(upper) is table  # one memoized table per N
+        assert not table.flags.writeable
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_pricing_matches_the_round_by_round_protocol(self, data):
+        """One execution priced in array passes equals the faithful
+        protocol, which clocks the same coins round by round: winner,
+        value, node messages, broadcasts and PCG64 state — with ties, a
+        bound above the participant count, and the most negative int64
+        (an empty round must be told apart by presence, not by value)."""
+        m = data.draw(st.integers(1, 40), label="m")
+        upper = data.draw(st.integers(m, 3 * m), label="upper")
+        sign = data.draw(st.sampled_from([1, -1]), label="sign")
+        low = np.iinfo(np.int64).min if sign > 0 else -5
+        values = np.array(
+            data.draw(st.lists(st.sampled_from([low, -1, 0, 2, 5]), min_size=m, max_size=m)),
+            dtype=np.int64,
+        )
+        ids = np.sort(np.array(data.draw(
+            st.lists(st.integers(0, 99), min_size=m, max_size=m, unique=True)
+        ), dtype=np.int64))
+        row = np.zeros(100, dtype=np.int64)
+        row[ids] = values
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+
+        counts, rng = _blank_counts(), np.random.default_rng(seed)
+        out = protocol_run(ids, row, upper, sign, "handler_max", False, counts, rng, 0)
+        ref_rng = np.random.default_rng(seed)
+        protocol = maximum_protocol if sign > 0 else minimum_protocol
+        ref = protocol(ids, values, upper, ref_rng)
+        assert out == (ref.winner, ref.value)
+        assert (counts["handler_max"], counts["protocol_round"]) == (ref.node_messages, ref.broadcasts)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_one_pass_reset_equals_sweeps_in_order(self, data):
+        """Pricing the k+1 sweeps together — in groups under any cap — gives
+        the winners, per-phase counts and PCG64 state of k+1 executions
+        priced one at a time in sweep order."""
+        n = data.draw(st.integers(2, 90), label="n")
+        k = data.draw(st.integers(1, n - 1), label="k")
+        spread = data.draw(st.sampled_from([1, 3, 10**6]), label="spread")  # 1, 3: many ties
+        row = np.array(
+            data.draw(st.lists(st.integers(-spread, spread), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        cap = data.draw(st.sampled_from([1, n + 1, 3 * n, kernel._PRICE_CAP]), label="cap")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+
+        one_pass, one_rng = _blank_counts(), np.random.default_rng(seed)
+        with mock.patch.object(kernel, "_PRICE_CAP", cap):
+            winners, values = reset_sweeps(row, k, one_pass, one_rng, 1)
+
+        swept, sweep_rng = _blank_counts(), np.random.default_rng(seed)
+        remaining = np.ones(n, dtype=bool)
+        expected = []
+        for _ in range(k + 1):
+            out = protocol_run(
+                np.flatnonzero(remaining), row, n, +1, "reset_protocol", True,
+                swept, sweep_rng, 1,
+            )
+            expected.append(out)
+            remaining[out[0]] = False
+
+        assert list(zip(winners, values)) == expected
+        assert one_pass == swept
+        assert one_rng.bit_generator.state == sweep_rng.bit_generator.state
+
+    @pytest.mark.parametrize("upper", [8, 64, 256])
+    def test_first_send_law_matches_per_round_coins(self, upper):
+        """Drawing each participant's first-success round once has the law of
+        a fresh coin per round: over 20,000 seeded executions each, the mean
+        node messages, round broadcasts and their total agree within 4
+        standard errors, their empirical CDFs never differ by more than
+        0.03 (a two-sample DKW bound with false-alarm odds near 1e-6), and
+        node messages and totals have the same 50/90/99% quantiles.
+        Winners agree in every execution."""
+        reps = 20_000
+        ids = np.arange(upper, dtype=np.int64)
+        values = np.arange(upper, dtype=np.int64)  # ascending: the costly order
+        old_rng = np.random.default_rng(1000 + upper)
+        new_rng = np.random.default_rng(2000 + upper)
+        counts = _blank_counts()
+        old = np.empty((reps, 2), dtype=np.int64)
+        new = np.empty((reps, 2), dtype=np.int64)
+        for i in range(reps):
+            winner, _, msgs, bcasts = _per_round_coins(ids, values, upper, old_rng)
+            old[i] = msgs, bcasts
+            before = counts["handler_max"], counts["protocol_round"]
+            out = protocol_run(ids, values, upper, +1, "handler_max", False, counts, new_rng, 0)
+            new[i] = counts["handler_max"] - before[0], counts["protocol_round"] - before[1]
+            assert out[0] == winner == upper - 1
+        samples = {
+            "node messages": (old[:, 0], new[:, 0]),
+            "broadcasts": (old[:, 1], new[:, 1]),
+            "total": (old.sum(axis=1), new.sum(axis=1)),
+        }
+        for name, (a, b) in samples.items():
+            se = np.sqrt(a.var(ddof=1) / reps + b.var(ddof=1) / reps)
+            assert abs(a.mean() - b.mean()) <= 4 * se, (name, a.mean(), b.mean(), se)
+            grid = np.arange(min(a.min(), b.min()), max(a.max(), b.max()) + 1)
+            gap = np.abs(
+                np.searchsorted(np.sort(a), grid, side="right")
+                - np.searchsorted(np.sort(b), grid, side="right")
+            ).max() / reps
+            assert gap <= 0.03, (name, gap)
+        for name in ("node messages", "total"):
+            a, b = samples[name]
+            q = [0.5, 0.9, 0.99]
+            assert np.array_equal(
+                np.quantile(a, q, method="inverted_cdf"), np.quantile(b, q, method="inverted_cdf")
+            ), name

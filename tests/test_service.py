@@ -384,23 +384,28 @@ class TestManagerCheckpoint:
 
     @pytest.mark.parametrize(
         "inbox",
-        [[[1, 2, 3]], [[1, 2, 3, 4], [1, 2]], [[1.5, 2.0, 3.0, 4.0]]],
-        ids=["wrong-width", "ragged", "float"],
+        [[[1, 2, 3]], [[1, 2, 3, 4], [1, 2]], [[1.5, 2.0, 3.0, 4.0]], None],
+        ids=["wrong-width", "ragged", "float", "missing"],
     )
     def test_corrupt_inbox_is_refused_at_restore(self, inbox, tmp_path):
-        """A tampered pending inbox fails restore and import naming the
-        session, instead of raising in the first sweep that reaches it."""
+        """A tampered or missing pending inbox (``None`` deletes the field)
+        fails restore and import naming the session, instead of raising in
+        the first sweep that reaches it."""
         mgr = SessionManager()
         sid = mgr.create(4, 2, seed=1)
         mgr.feed(sid, [4, 3, 2, 1])
         mgr.checkpoint(tmp_path)
         path = tmp_path / f"{sid}.json"
         data = json.loads(path.read_text())
-        data["inbox"] = inbox
+        if inbox is None:
+            del data["inbox"]
+        else:
+            data["inbox"] = inbox
         path.write_text(json.dumps(data))
-        with pytest.raises(ConfigurationError, match=f"session '{sid}'"):
+        refused = f"session '{sid}' has a corrupt pending inbox"
+        with pytest.raises(ConfigurationError, match=refused):
             SessionManager(restore=tmp_path)
-        with pytest.raises(ConfigurationError, match=f"session '{sid}'"):
+        with pytest.raises(ConfigurationError, match=refused):
             SessionManager().import_session(data)
 
     @pytest.mark.parametrize(
