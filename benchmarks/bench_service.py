@@ -4,16 +4,22 @@ The headline numbers (timings are not committed; performance claims
 cite the perfbench runs recorded in ``CHANGES.md``):
 
 * ``drain_1000_sessions_batched`` / ``..._per_session`` — wall time to
-  stream ``ROWS`` rows into each of 1000 concurrent sessions and drain
-  them; sessions/sec = 1000·ROWS / mean.  The pair quantifies what the
-  batched stepping path buys over per-session Python loops.
+  stream ``ROWS`` rows into each of 1000 concurrent sessions, one row per
+  session per ``step()``, and step them; sessions/sec = 1000·ROWS / mean.
+  The pair quantifies what the stacked lane buys over per-session Python
+  loops (one manager per session, so each steps alone).
 * ``step_sweep_1000_sessions`` — one stacked sweep advancing all 1000
   sessions by one row: the service's unit of step latency.
 * ``drain_deep_inbox_lookahead`` / ``..._per_row_sweeps`` — quiet deep
   inboxes (DEEP_ROWS rows backlogged per session) drained via the
-  kernel's ``scan_quiet`` block lookahead vs the one-row-per-sweep
-  batched path; the asserts require the lookahead to win by >= 2x, the
-  PR's headline speedup on the paper's quiet-dominated regime.
+  kernel's ``scan_quiet`` block lookahead vs the same rows fed one per
+  session per ``step()`` (the stacked lane); the gate requires the
+  lookahead to win by >= 2x over the ``step()`` time alone, the headline
+  speedup on the paper's quiet-dominated regime.
+
+The manager picks each lane by traffic shape alone, so the benches reach
+the stacked lane by feeding one row per session per ``step()`` and the
+block lane through deep inboxes.
 
 The batched and lookahead runs' outputs are asserted bit-identical to the
 offline engine on every session — the acceptance bar for the serving
@@ -22,6 +28,7 @@ layer, not just a timing.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 
@@ -45,30 +52,46 @@ def _streams() -> list[np.ndarray]:
     ]
 
 
-def _loaded_manager(
-    streams: list[np.ndarray], *, batch: bool, lookahead: bool = False, seed0: int = 2000
-) -> SessionManager:
-    """A manager with every session created and its full stream inboxed.
-
-    ``lookahead`` defaults off: the 1000-session benchmarks measure the
-    PR-4 sweep paths; the deep-inbox pair below flips it explicitly.
-    """
-    mgr = SessionManager(batch=batch, lookahead=lookahead, inbox_limit=max(len(s) for s in streams))
+def _created_manager(streams: list[np.ndarray], *, seed0: int = 2000) -> SessionManager:
+    """A manager with one empty session per stream."""
+    mgr = SessionManager(inbox_limit=max(len(s) for s in streams))
     for i, values in enumerate(streams):
-        sid = mgr.create(values.shape[1], K, seed=seed0 + i)
+        mgr.create(values.shape[1], K, seed=seed0 + i)
+    return mgr
+
+
+def _loaded_manager(streams: list[np.ndarray], *, seed0: int = 2000) -> SessionManager:
+    """A manager with every session's full stream inboxed: deep inboxes,
+    which drain through the block lane."""
+    mgr = _created_manager(streams, seed0=seed0)
+    for sid, values in zip(mgr.session_ids(), streams):
         mgr.feed_many(sid, values)
     return mgr
 
 
+def _step_row_by_row(mgr: SessionManager, streams: list[np.ndarray], clock=time.perf_counter):
+    """Feed one row per session, then ``step()``, for every row index: the
+    stacked lane.  Returns the time spent in ``step()`` alone."""
+    sids = mgr.session_ids()
+    spent = 0.0
+    for t in range(len(streams[0])):
+        for sid, values in zip(sids, streams):
+            mgr.feed(sid, values[t])
+        t0 = clock()
+        mgr.step()
+        spent += clock() - t0
+    return spent
+
+
 def test_drain_1000_sessions_batched(benchmark):
-    """Throughput of the batched stepping path, verified bit-identical."""
+    """Throughput of the stacked lane, verified bit-identical."""
     streams = _streams()
 
     def setup():
-        return (_loaded_manager(streams, batch=True),), {}
+        return (_created_manager(streams),), {}
 
     def drain(mgr):
-        mgr.drain()
+        _step_row_by_row(mgr, streams)
         return mgr
 
     mgr = benchmark.pedantic(drain, setup=setup, rounds=3, iterations=1)
@@ -86,36 +109,44 @@ def test_drain_1000_sessions_batched(benchmark):
 
 
 def test_drain_1000_sessions_per_session(benchmark):
-    """The same drain with batching disabled (the baseline it beats)."""
+    """The same stream with every session alone in its own manager, so
+    each steps by itself (the baseline the stacked lane beats)."""
     streams = _streams()
 
     def setup():
-        return (_loaded_manager(streams, batch=False),), {}
+        managers = [_created_manager([values], seed0=2000 + i) for i, values in enumerate(streams)]
+        return (managers,), {}
 
-    def drain(mgr):
-        mgr.drain()
-        return mgr
+    def drain(managers):
+        for t in range(ROWS):
+            for mgr, values in zip(managers, streams):
+                mgr.feed(mgr.session_ids()[0], values[t])
+                mgr.step()
+        return managers
 
-    mgr = benchmark.pedantic(drain, setup=setup, rounds=3, iterations=1)
-    snap = mgr.metrics_snapshot()
-    assert snap.rows_processed == SESSIONS * ROWS
-    assert snap.rows_batched == 0
+    managers = benchmark.pedantic(drain, setup=setup, rounds=3, iterations=1)
+    snaps = [mgr.metrics_snapshot() for mgr in managers]
+    assert sum(snap.rows_processed for snap in snaps) == SESSIONS * ROWS
+    assert not any(snap.rows_batched for snap in snaps)
 
 
 def test_step_sweep_1000_sessions(benchmark):
     """Latency of one stacked sweep over 1000 pending sessions."""
     streams = _streams()
-    mgr = _loaded_manager(streams, batch=True)
+    mgr = _created_manager(streams)
+    sids = mgr.session_ids()
+    rows = itertools.count(1)
 
-    def sweep():
-        processed = mgr.step()
-        if mgr.total_pending() == 0:  # refill so every round has work
-            for sid, values in zip(mgr.session_ids(), streams):
-                for row in values:
-                    mgr.feed(sid, row)
-        return processed
+    def feed_one_row():
+        t = next(rows) % ROWS
+        for sid, values in zip(sids, streams):
+            mgr.feed(sid, values[t])
+        return (), {}
 
-    processed = benchmark(sweep)
+    for sid, values in zip(sids, streams):  # the t=0 resets step alone
+        mgr.feed(sid, values[0])
+    mgr.step()
+    processed = benchmark.pedantic(mgr.step, setup=feed_one_row, rounds=200, iterations=1)
     assert processed == SESSIONS
     snap = mgr.metrics_snapshot()
     assert snap.step_latency_p99_us > snap.step_latency_p50_us >= 0.0
@@ -145,7 +176,7 @@ def test_drain_deep_inbox_lookahead(benchmark):
     streams = _deep_streams()
 
     def setup():
-        return (_loaded_manager(streams, batch=True, lookahead=True, seed0=4000),), {}
+        return (_loaded_manager(streams, seed0=4000),), {}
 
     def drain(mgr):
         mgr.drain()
@@ -166,14 +197,15 @@ def test_drain_deep_inbox_lookahead(benchmark):
 
 
 def test_drain_deep_inbox_per_row_sweeps(benchmark):
-    """The same deep drain on the PR-4 batched path (the baseline beaten)."""
+    """The same rows fed one per session per ``step()``: the stacked lane
+    (the baseline beaten)."""
     streams = _deep_streams()
 
     def setup():
-        return (_loaded_manager(streams, batch=True, lookahead=False, seed0=4000),), {}
+        return (_created_manager(streams, seed0=4000),), {}
 
     def drain(mgr):
-        mgr.drain()
+        _step_row_by_row(mgr, streams)
         return mgr
 
     mgr = benchmark.pedantic(drain, setup=setup, rounds=3, iterations=1)
@@ -184,22 +216,28 @@ def test_drain_deep_inbox_per_row_sweeps(benchmark):
 
 
 def test_deep_inbox_speedup_gate():
-    """The ISSUE-5 acceptance bar: lookahead >= 2x the batched sweep drain
-    on quiet deep inboxes (timed directly, independent of pytest-benchmark
-    bookkeeping)."""
+    """The deep-inbox acceptance bar: draining quiet deep inboxes through
+    the block lane is >= 2x faster than the ``step()`` time of the same
+    rows fed one per session per ``step()`` (the stacked lane), best of 3
+    each, with equal answers (timed directly, independent of
+    pytest-benchmark bookkeeping)."""
     streams = _deep_streams()
-    timings = {}
-    for lookahead in (True, False):
-        best = float("inf")
-        for _ in range(3):
-            mgr = _loaded_manager(streams, batch=True, lookahead=lookahead, seed0=4000)
-            t0 = time.perf_counter()
-            mgr.drain()
-            best = min(best, time.perf_counter() - t0)
-        timings[lookahead] = best
-    assert timings[True] * 2 <= timings[False], (
-        f"deep-inbox lookahead drain {timings[True]:.4f}s not 2x faster than "
-        f"per-row sweeps {timings[False]:.4f}s"
+    block = sweeps = float("inf")
+    for _ in range(3):
+        deep = _loaded_manager(streams, seed0=4000)
+        t0 = time.perf_counter()
+        deep.drain()
+        block = min(block, time.perf_counter() - t0)
+        shallow = _created_manager(streams, seed0=4000)
+        sweeps = min(sweeps, _step_row_by_row(shallow, streams))
+    assert deep.metrics_snapshot().rows_lookahead == DEEP_SESSIONS * DEEP_ROWS
+    assert shallow.metrics_snapshot().rows_lookahead == 0
+    assert [deep.query(sid) for sid in deep.session_ids()] == [
+        shallow.query(sid) for sid in shallow.session_ids()
+    ]
+    assert block * 2 <= sweeps, (
+        f"deep-inbox lookahead drain {block:.4f}s not 2x faster than "
+        f"per-row sweeps {sweeps:.4f}s"
     )
 
 
@@ -297,12 +335,12 @@ def test_drain_1000_sessions_obs_enabled(benchmark):
     streams = _streams()
 
     def setup():
-        return (_loaded_manager(streams, batch=True),), {}
+        return (_created_manager(streams),), {}
 
     def drain(mgr):
         OBS.on = True
         try:
-            mgr.drain()
+            _step_row_by_row(mgr, streams)
         finally:
             OBS.on = False
         return mgr
@@ -324,7 +362,7 @@ def test_drain_1000_sessions_obs_enabled(benchmark):
 
 def test_obs_overhead_gate():
     """The ISSUE-9 acceptance bar: instrumentation enabled costs <= 3% on
-    the batched 1000-session drain.
+    the stacked 1000-session drain (the ``step()`` calls alone).
 
     Measured to survive a noisy single-core box: CPU time (frequency
     drift and scheduler steal hit wall clocks mode-asymmetrically),
@@ -342,12 +380,11 @@ def test_obs_overhead_gate():
         for round_no in range(6):
             order = (False, True) if round_no % 2 else (True, False)
             for enabled in order:
-                mgr = _loaded_manager(streams, batch=True)
+                mgr = _created_manager(streams)
                 OBS.on = enabled
-                t0 = time.process_time()
-                mgr.drain()
+                spent = _step_row_by_row(mgr, streams, clock=time.process_time)
                 OBS.on = False
-                timings[enabled] = min(timings[enabled], time.process_time() - t0)
+                timings[enabled] = min(timings[enabled], spent)
     finally:
         OBS.on = False
         RECORDER.clear()

@@ -8,7 +8,7 @@ Every experiment bench does two things:
 2. where a tight inner loop exists (protocol rounds, engine steps), times
    that loop directly at a fixed size.
 
-Scale can be raised with ``--bench-scale default`` for the EXPERIMENTS.md
+Scale can be raised with ``--bench-scale default`` for a full-size
 regeneration run.
 """
 

@@ -77,7 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover — static names for type checkers
         WorkloadError,
     )
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "run",

@@ -1,7 +1,7 @@
 """The paper's theoretical bounds as concrete functions.
 
-Every experiment reports measured quantities next to these formulas so the
-tables in EXPERIMENTS.md can show measured/bound ratios directly.
+Every experiment reports measured quantities next to these formulas so its
+tables can show measured/bound ratios directly.
 """
 
 from __future__ import annotations

@@ -61,9 +61,11 @@ class RunSpec:
         Extra keyword overrides for the workload factory (e.g.
         ``{"spread": 200}``).
     config:
-        Optional :class:`~repro.core.monitor.MonitorConfig`.  Counting
-        engines honour ``skip_redundant_min`` and ``protocol`` and reject
-        instrumentation/ablation flags only the faithful engine supports.
+        Optional :class:`~repro.core.monitor.MonitorConfig`.  The
+        ablations (A1 ``always_reset``, A2 ``skip_redundant_min``, A3
+        ``protocol.broadcast_every_round``, and an uncharged
+        ``protocol.charge_start_broadcast``) and the instrumentation flags
+        run on the faithful engine only; the counting engines refuse them.
     """
 
     workload: Any

@@ -8,7 +8,7 @@ back to contacting everybody when the border itself is invalidated.  The
 paper cites their experimental result that this is "an order of magnitude
 lower than that of a naive approach".
 
-Specialization built here (documented in DESIGN.md): one object per node
+Specialization built here: one object per node
 (the case the paper says "is basically monitoring the k largest values").
 
 * The coordinator maintains the set ``S`` (|S| = k), a border value ``B``

@@ -42,6 +42,12 @@ class ProtocolConfig:
 class MonitorConfig:
     """Behavioural switches for :class:`TopKMonitor`.
 
+    The ablations below (``always_reset``, ``skip_redundant_min``, and the
+    ``protocol`` settings off their defaults) and the instrumentation
+    flags run on the ``faithful`` engine only: the counting engines
+    (``fast``, ``vectorized``) and the session service run the default
+    protocol and refuse the rest, naming ``faithful``.
+
     ``audit``
         Verify after every step that the reported set is a valid top-k set;
         raise :class:`~repro.errors.InvariantViolation` otherwise.  Costs

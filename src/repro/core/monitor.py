@@ -182,13 +182,6 @@ class OnlineSession:
                 )
         return self.topk
 
-    def step(self, row: ValueRow) -> np.ndarray:
-        """Alias for :meth:`observe` — the generic session-stepper entry
-        point shared with the engine-registry session factories, so the
-        streaming service drives faithful sessions and counting kernels
-        through one interface."""
-        return self.observe(row)
-
     def observe_many(self, rows: ValueMatrix) -> np.ndarray:
         """Process several observation rows; returns the ``(T, k)`` top-k
         history over those rows (ascending id order per row)."""

@@ -86,7 +86,9 @@ def _extremum_protocol(
 ) -> ProtocolOutcome | None:
     """Shared engine for max (``sign=+1``) and min (``sign=-1``).
 
-    Internally maximizes ``sign * value``; reported values are de-signed.
+    Internally maximizes ``value`` or ``~value``; ``~`` orders int64 as
+    negation does, without wrapping at the minimum, and is its own
+    inverse, so reported values are ``unkey(key)``.
     """
     config = config or ProtocolConfig()
     ids_arr = np.asarray(ids, dtype=np.int64)
@@ -105,7 +107,10 @@ def _extremum_protocol(
     # Canonical ascending-id order (randomness convention).
     order = np.argsort(ids_arr, kind="stable")
     ids_arr = ids_arr[order]
-    keyed = sign * vals_arr[order]
+    keyed = vals_arr[order] if sign > 0 else ~vals_arr[order]
+
+    def unkey(key) -> int:
+        return int(key) if sign > 0 else ~int(key)
 
     if transport is not None and coordinator_initiated and config.charge_start_broadcast:
         transport.broadcast(("protocol_start", phase.value), Phase.PROTOCOL_START)
@@ -138,7 +143,7 @@ def _extremum_protocol(
         for j in senders:
             node_messages += 1
             if transport is not None:
-                transport.node_to_coord(int(ids_arr[j]), (int(ids_arr[j]), int(sign * keyed[j])), phase)
+                transport.node_to_coord(int(ids_arr[j]), (int(ids_arr[j]), unkey(keyed[j])), phase)
             key = int(keyed[j])
             if coord_best_key is None or key > coord_best_key or (key == coord_best_key and int(ids_arr[j]) < best_id):
                 if coord_best_key is None or key > coord_best_key:
@@ -151,7 +156,7 @@ def _extremum_protocol(
         ):
             broadcasts += 1
             if transport is not None:
-                transport.broadcast(int(sign * coord_best_key), Phase.PROTOCOL_ROUND)
+                transport.broadcast(unkey(coord_best_key), Phase.PROTOCOL_ROUND)
             best_key = coord_best_key
 
     if coord_best_key is None:
@@ -166,7 +171,7 @@ def _extremum_protocol(
 
     return ProtocolOutcome(
         winner=best_id,
-        value=int(sign * coord_best_key),
+        value=unkey(coord_best_key),
         node_messages=node_messages,
         broadcasts=broadcasts,
         rounds=rounds_run,

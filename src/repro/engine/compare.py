@@ -29,9 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.monitor import MonitorConfig
-from repro.core.protocols import ProtocolConfig
-
 __all__ = ["DifferentialReport", "differential_check"]
 
 
@@ -85,31 +82,16 @@ def _compare_counting_results(a, b) -> str | None:
     return None
 
 
-def differential_check(
-    values: np.ndarray,
-    k: int,
-    *,
-    seed=0,
-    skip_redundant_min: bool = False,
-) -> DifferentialReport:
+def differential_check(values: np.ndarray, k: int, *, seed=0) -> DifferentialReport:
     """Run all three engines on the same instance and compare everything.
 
-    Every engine runs through the unified ``repro.run`` path, so this also
-    pins the registry dispatch and the ``RunResult`` adapters.
+    Every engine runs through the unified ``repro.run`` path under the
+    default config, so this also pins the registry dispatch and the
+    ``RunResult`` adapters.
     """
     from repro.api import RunSpec, run
 
-    spec = RunSpec(
-        values,
-        k=k,
-        seed=seed,
-        config=MonitorConfig(
-            audit=False,
-            skip_redundant_min=skip_redundant_min,
-            protocol=ProtocolConfig(),
-            collect_events=True,
-        ),
-    )
+    spec = RunSpec(values, k=k, seed=seed)
     faithful = run(spec, engine="faithful")
     vector = run(spec, engine="vectorized")
     fast = run(spec, engine="fast")

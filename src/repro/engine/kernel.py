@@ -20,10 +20,12 @@ stacked sweep); now every layer calls one of the three entry points here:
   deep-inbox drain over a block.
 
 The exact-arithmetic convention (see :mod:`repro.core.monitor`): ``M`` is
-a half-integer, so the doubled bound keeps everything in int64.  For the
-block scans the doubled comparisons fold into integer thresholds on the
-raw reductions — ``2·v < M2  ⇔  v < ceil(M2/2)`` and ``2·v > M2  ⇔
-v > floor(M2/2)`` — exact for any sign.
+a half-integer, so the bound is kept doubled, as the exact integer ``M2``.
+The array checks fold the doubled comparison into integer thresholds on
+the raw values — ``2·v < M2  ⇔  v < ceil(M2/2)`` and ``2·v > M2  ⇔
+v > floor(M2/2)`` — exact for any sign, and never doubling a value, so no
+int64 row wraps (:func:`_thresholds`); the scalar forms double Python
+ints, which cannot wrap.
 
 The module also prices Algorithm 2 for the counting engines
 (:func:`protocol_run` for one execution, :func:`reset_sweeps` for a
@@ -94,13 +96,20 @@ _SCAN_CHUNK_MAX = 8192
 _FILTER_SCHEMA = 1
 
 
-def _thresholds(m2: int) -> tuple[int, int]:
+def _thresholds(m2):
     """Integer thresholds equivalent to the doubled comparisons.
 
     ``2·v < m2  ⇔  v < lo`` with ``lo = ceil(m2/2)``, and
     ``2·v > m2  ⇔  v > hi`` with ``hi = floor(m2/2)`` — exact for any sign.
+    ``m2`` is a Python int or an int64 array; a shift and a parity bit
+    never wrap, and both thresholds of a sum of two int64 values fit in
+    int64.
+
+    >>> _thresholds(-7), _thresholds(8)
+    ((-3, -4), (4, 4))
     """
-    return -((-m2) // 2), m2 // 2
+    hi = m2 >> 1
+    return hi + (m2 & 1), hi
 
 
 def _selector(ids: np.ndarray):
@@ -173,10 +182,8 @@ class FilterState:
 
     def violates(self, row: np.ndarray) -> bool:
         """Scalar entry point: does any node's value leave its filter?"""
-        doubled = 2 * row
-        return bool(
-            ((self.sides & (doubled < self.m2)) | (~self.sides & (doubled > self.m2))).any()
-        )
+        lo, hi = _thresholds(self.m2)
+        return bool(((self.sides & (row < lo)) | (~self.sides & (row > hi))).any())
 
     def violators(self, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Violating node ids ``(top, bottom)``, each ascending.
@@ -184,9 +191,9 @@ class FilterState:
         TOP nodes violate below the bound, BOTTOM nodes above it — the
         id-producing form the violation handler feeds to the protocols.
         """
-        doubled = 2 * row
-        viol_top = np.flatnonzero(self.sides & (doubled < self.m2))
-        viol_bot = np.flatnonzero(~self.sides & (doubled > self.m2))
+        lo, hi = _thresholds(self.m2)
+        viol_top = np.flatnonzero(self.sides & (row < lo))
+        viol_bot = np.flatnonzero(~self.sides & (row > hi))
         return viol_top, viol_bot
 
     @staticmethod
@@ -338,13 +345,20 @@ def violates_stacked(rows: np.ndarray, states: Sequence[FilterState]) -> np.ndar
     filter — computed with exactly the per-row comparison
     :meth:`FilterState.violates` runs, batched:
 
-        noisy[b] = any(sides[b] & (2·row[b] < m2[b]) |
-                      ~sides[b] & (2·row[b] > m2[b]))
+        noisy[b] = any(sides[b] & (row[b] < lo[b]) |
+                      ~sides[b] & (row[b] > hi[b]))
+
+    with ``lo, hi = _thresholds(m2)`` over the column of bounds.  A bound
+    past int64 (two extremes near the same edge) takes exact per-state
+    Python thresholds instead.
     """
     sides = np.stack([s.sides for s in states])
-    m2 = np.array([s.m2 for s in states], dtype=np.int64)[:, None]
-    doubled = 2 * rows
-    return ((sides & (doubled < m2)) | (~sides & (doubled > m2))).any(axis=1)
+    bounds = [s.m2 for s in states]
+    try:
+        lo, hi = _thresholds(np.array(bounds, dtype=np.int64)[:, None])
+    except OverflowError:
+        lo, hi = np.array([_thresholds(m2) for m2 in bounds], dtype=np.int64).T[:, :, None]
+    return ((sides & (rows < lo)) | (~sides & (rows > hi))).any(axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -437,10 +451,11 @@ def _ranked(row: np.ndarray, m: int) -> np.ndarray:
     """Ids of the ``m`` largest values, by value descending then id
     ascending — the winners of ``m`` repeated max sweeps, in sweep order.
     A partition finds the ``m``-th value; only the ids at or above it are
-    sorted."""
+    sorted, keyed by ``~v`` (order-reversing like ``-v``, but exact at the
+    int64 minimum, which negation wraps)."""
     cut = np.partition(row, row.size - m)[row.size - m]
     ids = np.flatnonzero(row >= cut)
-    return ids[np.argsort(-row[ids], kind="stable")[:m]]
+    return ids[np.argsort(~row[ids], kind="stable")[:m]]
 
 
 # Unified-registry families the protocol executions publish into when
@@ -493,22 +508,24 @@ def protocol_run(
     initiated: bool,
     counts: dict[str, int],
     rng: np.random.Generator,
-    start_charge: int,
 ):
     """One accounted protocol execution, shared by the counting engines.
 
     ``participants`` must ascend.  Draws one uniform per participant
     (:func:`first_send_rounds`) and prices the execution in one
-    :func:`_price` pass.  Returns ``(winner_id, value)`` — the lowest id
-    among the extreme values — or ``None`` when there are no participants;
-    message/broadcast counters accumulate into ``counts``.
+    :func:`_price` pass; a coordinator-``initiated`` run also pays its
+    start broadcast.  A minimum run maximizes ``~v``, which orders int64
+    exactly as ``-v`` does without wrapping at the minimum.  Returns
+    ``(winner_id, value)`` — the lowest id among the extreme values — or
+    ``None`` when there are no participants; message/broadcast counters
+    accumulate into ``counts``.
     """
     m = participants.size
     if m == 0:
         return None
     if initiated:
-        counts["protocol_start"] += start_charge
-    keyed = row[participants] if sign > 0 else -row[participants]
+        counts["protocol_start"] += 1
+    keyed = row[participants] if sign > 0 else ~row[participants]
     t0 = _obs_clock() if OBS.on else 0.0
     if m == 1:
         rng.random()  # its coin; a lone participant sends, and that is news
@@ -522,7 +539,8 @@ def protocol_run(
         _obs_publish(phase, 1, msgs, bcasts, _obs_clock() - t0)
     counts[phase] += msgs
     counts["protocol_round"] += bcasts
-    return int(participants[j]), sign * int(keyed[j])
+    value = int(keyed[j])
+    return int(participants[j]), value if sign > 0 else ~value
 
 
 def reset_sweeps(
@@ -530,7 +548,6 @@ def reset_sweeps(
     k: int,
     counts: dict[str, int],
     rng: np.random.Generator,
-    start_charge: int,
 ) -> tuple[list[int], list[int]]:
     """The ``k+1`` coordinator-initiated max sweeps of a ``FilterReset``.
 
@@ -539,6 +556,7 @@ def reset_sweeps(
     the coins (Las Vegas); the coins only price it.  The sweeps are priced
     together: one ``rng.random`` call per group of sweeps — the same
     stream as one call per sweep — and one :func:`_price` pass per group.
+    Each sweep pays its start broadcast.
     Shared by the counting engines so the reset protocol semantics cannot
     drift between them (invariant I4).  Returns ``(winners, winner_vals)``
     ordered by rank.
@@ -568,7 +586,7 @@ def reset_sweeps(
         bcasts += group_bcasts
     if OBS.on:
         _obs_publish("reset_protocol", k + 1, msgs, bcasts, _obs_clock() - t0)
-    counts["protocol_start"] += (k + 1) * start_charge
+    counts["protocol_start"] += k + 1
     counts["reset_protocol"] += msgs
     counts["protocol_round"] += bcasts
     return winners.tolist(), row[winners].tolist()

@@ -43,7 +43,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.config import ProtocolConfig
 from repro.engine.kernel import PHASES as _PHASES
 from repro.engine.kernel import (
     FilterState,
@@ -61,6 +60,9 @@ __all__ = ["VectorizedResult", "IncrementalKernel"]
 
 #: Schema tag for :meth:`IncrementalKernel.snapshot` payloads.
 KERNEL_SCHEMA_VERSION = 1
+
+# The protocol settings a 7.x snapshot recorded: the kernel runs only these.
+_SNAPSHOT_CONFIG = {"skip_redundant_min": False, "charge_start_broadcast": True}
 
 # Registry families (repro/obs): the fast engine's segment-skip hit rate is
 # skipped/(skipped+violation) over these two series; published once per
@@ -118,26 +120,15 @@ class IncrementalKernel:
     :meth:`snapshot` / :meth:`from_snapshot`.  Quiet steps consume no
     randomness, so batched or lookahead stepping stays bit-identical to a
     per-row loop.
+
+    The kernel runs the paper's protocol as listed: every
+    coordinator-initiated run pays its start broadcast, and a handler
+    whose BOTTOM side violated re-runs the minimum over the whole TOP
+    side.  The ablations A1–A3 run on the faithful engine.
     """
 
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        *,
-        seed=None,
-        skip_redundant_min: bool = False,
-        protocol: ProtocolConfig | None = None,
-        track_times: bool = True,
-    ):
+    def __init__(self, n: int, k: int, *, seed=None, track_times: bool = True):
         self.k, self.n = check_k(k, n)
-        protocol = protocol or ProtocolConfig()
-        if protocol.broadcast_every_round:
-            raise NotImplementedError(
-                "the counting engines implement the default broadcast-on-improvement "
-                "policy only; use the faithful engine for ablation A3"
-            )
-        self._skip_redundant_min = skip_redundant_min
         # ``track_times=False`` keeps indefinitely-lived streaming sessions
         # O(1) in memory: the reset/handler *time lists* (one entry per
         # violation step) stay empty while the counters keep counting.
@@ -157,8 +148,6 @@ class IncrementalKernel:
         #: read by batch schedulers and the lookahead scan.
         self.filter = FilterState.blank(self.n, all_top=self.trivial)
         self._t = -1
-        # Persisted under the renamed key config.charge_start_broadcast.
-        self._start_charge = 1 if protocol.charge_start_broadcast else 0  # reprolint: disable=R5
 
     # ------------------------------------------------------------------ API
 
@@ -171,16 +160,6 @@ class IncrementalKernel:
     def topk(self) -> np.ndarray:
         """Current top-k node ids (ascending id order)."""
         return self.filter.top_ids
-
-    @property
-    def sides(self) -> np.ndarray:
-        """Current side partition (True = TOP) — ``filter.sides``."""
-        return self.filter.sides
-
-    @property
-    def m2(self) -> int:
-        """Current doubled filter bound — ``filter.m2``."""
-        return self.filter.m2
 
     @property
     def initialized(self) -> bool:
@@ -291,7 +270,7 @@ class IncrementalKernel:
             self.handler_times.append(self._t)
         if max_out is None:
             max_out = self._protocol(state.bot_ids, row, bottom_bound, +1, "handler_max", True)
-        elif not (self._skip_redundant_min and min_out is not None):
+        else:
             min_out = self._protocol(state.top_ids, row, top_bound, -1, "handler_min", True)
         assert min_out is not None and max_out is not None
         if state.absorb(min_out[1], max_out[1]):
@@ -304,17 +283,14 @@ class IncrementalKernel:
 
     def _protocol(self, participants, row, upper, sign, phase, initiated):
         return _protocol_run(
-            participants, row, upper, sign, phase, initiated,
-            self.counts, self._rng, self._start_charge,
+            participants, row, upper, sign, phase, initiated, self.counts, self._rng
         )
 
     def _filter_reset(self, row: np.ndarray) -> None:
         self.resets += 1
         if self._track_times:
             self.reset_times.append(self._t)
-        winners, winner_vals = _reset_sweeps(
-            row, self.k, self.counts, self._rng, self._start_charge
-        )
+        winners, winner_vals = _reset_sweeps(row, self.k, self.counts, self._rng)
         self.counts["reset_broadcast"] += 1
         self.filter.install(winners[: self.k], winner_vals[self.k - 1], winner_vals[self.k])
 
@@ -339,10 +315,6 @@ class IncrementalKernel:
             "resets": self.resets,
             "handler_calls": self.handler_calls,
             "rng_state": encode_rng_state(self._rng),
-            "config": {
-                "skip_redundant_min": self._skip_redundant_min,
-                "charge_start_broadcast": bool(self._start_charge),
-            },
         }
 
     @classmethod
@@ -352,27 +324,25 @@ class IncrementalKernel:
         Raises
         ------
         ConfigurationError
-            For another schema, or a filter state no kernel of this shape
-            can hold: a partition over another ``n``, or a TOP side that is
-            not ``k`` nodes (none before the first row, unless ``k == n``).
-            Such a kernel would answer a wrong top-k, or fail in its first
-            block scan.
+            For another schema, a ``config`` block other than the default
+            a 7.x snapshot carries (an ablation the kernel does not run), or
+            a filter state no kernel of this shape can hold: a partition
+            over another ``n``, or a TOP side that is not ``k`` nodes (none
+            before the first row, unless ``k == n``).  Such a kernel would
+            answer a wrong top-k, or fail in its first block scan.
         """
         if state.get("schema") != KERNEL_SCHEMA_VERSION:
             raise ConfigurationError(
                 f"unsupported kernel checkpoint schema {state.get('schema')!r} "
                 f"(expected {KERNEL_SCHEMA_VERSION})"
             )
-        kernel = cls(
-            int(state["n"]),
-            int(state["k"]),
-            seed=0,
-            skip_redundant_min=bool(state["config"]["skip_redundant_min"]),
-            protocol=ProtocolConfig(
-                charge_start_broadcast=bool(state["config"]["charge_start_broadcast"])
-            ),
-            track_times=False,  # restored kernels serve streaming sessions
-        )
+        if state.get("config", _SNAPSHOT_CONFIG) != _SNAPSHOT_CONFIG:
+            raise ConfigurationError(
+                f"kernel snapshot runs protocol config {state['config']!r}; the counting "
+                f"kernel runs only {_SNAPSHOT_CONFIG!r} (ablations run on engine='faithful')"
+            )
+        # Restored kernels serve streaming sessions.
+        kernel = cls(int(state["n"]), int(state["k"]), seed=0, track_times=False)
         kernel._t = int(state["t"])
         kernel.filter = FilterState.from_snapshot(state["filter"])
         if kernel.filter.n != kernel.n:
@@ -409,20 +379,11 @@ def _counting_result(kernel: IncrementalKernel, history: np.ndarray) -> Vectoriz
     )
 
 
-def _run_vectorized(
-    values: np.ndarray,
-    k: int,
-    *,
-    seed=None,
-    skip_redundant_min: bool = False,
-    protocol: ProtocolConfig | None = None,
-) -> VectorizedResult:
+def _run_vectorized(values: np.ndarray, k: int, *, seed=None) -> VectorizedResult:
     """Run Algorithm 1 over a ``(T, n)`` matrix, one kernel step per row."""
     values = check_matrix(values)
     T, n = values.shape
-    kernel = IncrementalKernel(
-        n, k, seed=seed, skip_redundant_min=skip_redundant_min, protocol=protocol
-    )
+    kernel = IncrementalKernel(n, k, seed=seed)
     history = np.empty((T, kernel.k), dtype=np.int64)
     for t in range(T):
         history[t] = kernel._step(values[t])
@@ -433,24 +394,28 @@ def check_counting_config(config, engine: str) -> None:
     """Reject :class:`~repro.core.monitor.MonitorConfig` requests a counting
     engine cannot honour.  ``collect_events``/``track_series`` defaults pass
     silently (absent capabilities, not errors); explicit instrumentation or
-    ablation requests fail loudly and point at the faithful engine."""
-    for flag in ("audit", "always_reset", "record_messages", "track_series"):
-        if getattr(config, flag):
-            raise ConfigurationError(
-                f"the {engine!r} engine does not support {flag}=True; "
-                f"use engine='faithful' for instrumented or ablation runs"
-            )
+    ablation requests (A1 ``always_reset``, A2 ``skip_redundant_min``,
+    an uncharged start broadcast) fail loudly and point at the faithful
+    engine, and A3's every-round broadcast is not implemented here."""
+    flags = ("audit", "always_reset", "skip_redundant_min", "record_messages", "track_series")
+    refused = [f"{flag}=True" for flag in flags if getattr(config, flag)]
+    if not config.protocol.charge_start_broadcast:
+        refused.append("charge_start_broadcast=False")
+    if refused:
+        raise ConfigurationError(
+            f"the {engine!r} engine does not support {refused[0]}; "
+            f"use engine='faithful' for instrumented or ablation runs"
+        )
+    if config.protocol.broadcast_every_round:
+        raise NotImplementedError(
+            "the counting engines implement the default broadcast-on-improvement "
+            "policy only; use the faithful engine for ablation A3"
+        )
 
 
 def _engine_runner(values: np.ndarray, k: int, *, seed, config) -> RunResult:
     check_counting_config(config, "vectorized")
-    result = _run_vectorized(
-        values,
-        k,
-        seed=seed,
-        skip_redundant_min=config.skip_redundant_min,
-        protocol=config.protocol,
-    )
+    result = _run_vectorized(values, k, seed=seed)
     return RunResult.from_counting(result, engine="vectorized")
 
 
@@ -460,11 +425,7 @@ def _fast_runner(values: np.ndarray, k: int, *, seed, config) -> RunResult:
     check_counting_config(config, "fast")
     values = check_matrix(values)
     T, n = values.shape
-    kernel = IncrementalKernel(
-        n, k, seed=seed,
-        skip_redundant_min=config.skip_redundant_min,
-        protocol=config.protocol,
-    )
+    kernel = IncrementalKernel(n, k, seed=seed)
     history = kernel.observe_many(values)
     if OBS.on and not kernel.trivial:
         # Row 0 is the initialization reset; every other non-event row was

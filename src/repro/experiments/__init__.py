@@ -2,7 +2,7 @@
 
 The paper has no empirical section; its evaluation is analytical.  Each
 experiment here validates one theorem / claimed bound / baseline comparison
-from the text (the mapping is the experiment index in DESIGN.md), and the
+from the text (README.md's experiment table lists the claims), and the
 benches under ``benchmarks/`` regenerate each experiment's table.
 
 Use ``python -m repro.experiments --list`` to see all experiments and

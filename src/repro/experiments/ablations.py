@@ -67,7 +67,7 @@ def run(scale: str = "default") -> ExperimentOutput:
     out = ExperimentOutput(
         exp_id="a1",
         title="Ablations: midpoint halving, redundant min, broadcast policy",
-        claim="design-choice attribution for Algorithm 1 (DESIGN.md A1–A3)",
+        claim="design-choice attribution for Algorithm 1 (A1–A3, faithful engine only)",
     )
     # --- A1: halving vs always-reset --------------------------------------
     # Separating workload: the k-th member repeatedly dips *deeper* toward

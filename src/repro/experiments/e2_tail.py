@@ -94,7 +94,7 @@ def run(scale: str = "default") -> ExperimentOutput:
     # the common cause "higher-ranked coins succeeded late", so
     # P[X_i ∧ X_j] exceeds the product.  The theorem's *conclusion* (the
     # tails above) still holds; only this proof step does not survive
-    # empirical scrutiny.  Documented in EXPERIMENTS.md.
+    # empirical scrutiny (tests/test_properties.py pins the finding).
     corr_n, corr_reps = 16, scaled(scale, 2000, 8000, 40000)
     diffs = _pairwise_correlation(corr_n, corr_reps, seed=707)
     corr_table = Table(

@@ -1,6 +1,6 @@
 """Persist experiment outputs as JSON for archival / regression diffing.
 
-``EXPERIMENTS.md`` records prose and tables; this module stores the same
+The ``--markdown`` report records prose and tables; this module stores the same
 content machine-readably so future runs can be diffed numerically
 (``topkmon-experiments --all --json results.json`` style usage, and the
 regression test suite compares stored vs fresh smoke-scale results).

@@ -47,7 +47,7 @@ def render_summary(outputs: list[ExperimentOutput]) -> str:
 
 
 def render_markdown(out: ExperimentOutput) -> str:
-    """Markdown block for EXPERIMENTS.md regeneration."""
+    """Markdown block of one experiment, for the CLI's ``--markdown`` report."""
     lines = [f"### {out.exp_id.upper()} — {out.title}", "", f"*Paper claim:* {out.claim}", ""]
     for table in out.tables:
         lines.append(table.render_markdown())

@@ -19,8 +19,8 @@ __all__ = [
     "SCALES",
 ]
 
-#: Recognized run scales.  ``smoke`` keeps CI fast; ``full`` is what
-#: EXPERIMENTS.md records.
+#: Recognized run scales.  ``smoke`` keeps CI fast; ``full`` is the scale
+#: a recorded ``--markdown`` report runs at.
 SCALES = ("smoke", "default", "full")
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.engine.kernel import _thresholds
 from repro.faults.plan import CrashWindow, FaultPlan, LinkFaults
 
 __all__ = [
@@ -46,13 +47,15 @@ Strategy = Callable[[int, bool, int, bool], int]
 
 
 def _top_floor(m2: int) -> int:
-    """Smallest value a TOP node may claim (``2·v >= m2``)."""
-    return -((-m2) // 2)  # ceil(m2 / 2) for any sign
+    """Smallest value a TOP node may claim (``2·v >= m2``): the filter
+    kernel's TOP threshold."""
+    return _thresholds(m2)[0]
 
 
 def _bottom_ceiling(m2: int) -> int:
-    """Largest value a BOTTOM node may claim (``2·v <= m2``)."""
-    return m2 // 2  # floor(m2 / 2)
+    """Largest value a BOTTOM node may claim (``2·v <= m2``): the filter
+    kernel's BOTTOM threshold."""
+    return _thresholds(m2)[1]
 
 
 def _boundary(value: int, is_top: bool, m2: int, initialized: bool) -> int:

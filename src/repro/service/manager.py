@@ -27,7 +27,11 @@ filter?" — is decided for the whole group with one stacked comparison,
 :class:`~repro.engine.kernel.FilterState` objects.  Quiet sessions (the
 regime the paper's filters create) advance via ``quiet_step()`` — no
 per-session Python protocol logic, no randomness consumed — so batched
-stepping is **bit-identical** to stepping each session alone.
+stepping is **bit-identical** to stepping each session alone.  Traffic
+shape alone picks the lane: a session with fewer than
+``LOOKAHEAD_MIN_DEPTH`` rows pending joins a stacked group when another
+initialized session of its shape is pending too, so feeding one row per
+session per ``step()`` keeps a workload here.
 
 The deep-inbox lookahead
 ------------------------
@@ -119,13 +123,13 @@ SESSION_ENGINE = "vectorized"
 #: Default bound on pending rows per session (the backpressure threshold).
 DEFAULT_INBOX_LIMIT = 1024
 
-#: Default cap on a session's node count: one `create` allocates O(n)
-#: arrays, so a shared server must bound what a single request can ask for.
+#: Cap on a session's node count: one `create` allocates O(n) arrays, so
+#: a shared server must bound what a single request can ask for.
 DEFAULT_MAX_NODES = 1_000_000
 
-#: Inbox depth at which a lookahead-capable session leaves the sweep loop
-#: and drains via one ``observe_many`` block scan instead.  Below it the
-#: stacked batch comparison is already optimal (one row per session).
+#: Inbox depth at which a session leaves the sweep loop and drains via one
+#: ``observe_many`` block scan instead.  Below it the stacked batch
+#: comparison is already optimal (one row per session).
 LOOKAHEAD_MIN_DEPTH = 4
 
 #: Manifest filename inside a checkpoint directory.
@@ -163,16 +167,14 @@ def _check_session_id(session_id: str) -> str:
     return session_id
 
 
-def check_create(n: int, k: int, *, seed=None, engine: str | None = None,
-                 max_nodes: int = DEFAULT_MAX_NODES) -> None:
+def check_create(n: int, k: int, *, seed=None, engine: str | None = None) -> None:
     """Refuse a create that cannot succeed, before anything is taken for it.
 
-    A create needs ``1 <= k <= n <= max_nodes``, a seed the kernel accepts,
-    and no ``engine`` but :data:`SESSION_ENGINE`.  The manager checks this
-    before it hands out a session id, the server for each ``create``
-    request, and a fleet router before it takes an id of its own (its
-    workers run with :data:`DEFAULT_MAX_NODES`), so a refused create
-    consumes no id anywhere.
+    A create needs ``1 <= k <= n <= DEFAULT_MAX_NODES``, a seed the kernel
+    accepts, and no ``engine`` but :data:`SESSION_ENGINE`.  The manager
+    checks this before it hands out a session id, the server for each
+    ``create`` request, and a fleet router before it takes an id of its
+    own, so a refused create consumes no id anywhere.
 
     Raises
     ------
@@ -184,9 +186,9 @@ def check_create(n: int, k: int, *, seed=None, engine: str | None = None,
             f"engine {engine!r} cannot host a live session; "
             f"every session runs the {SESSION_ENGINE!r} kernel"
         )
-    if not 1 <= n <= max_nodes:
+    if not 1 <= n <= DEFAULT_MAX_NODES:
         raise ConfigurationError(
-            f"n must be in [1, {max_nodes}] (the manager's max_nodes cap), got {n}"
+            f"n must be in [1, {DEFAULT_MAX_NODES}] (the session node cap), got {n}"
         )
     check_k(k, n)
     if seed is not None:
@@ -274,19 +276,6 @@ class SessionManager:
     inbox_limit:
         Maximum pending (fed but unstepped) rows per session; feeding
         beyond it raises :class:`~repro.errors.BackpressureError`.
-    max_nodes:
-        Largest ``n`` a single :meth:`create` may ask for (a session costs
-        O(n) memory, and on the server one wire request triggers it).
-    batch:
-        Enable the grouped stepping path.  ``False`` forces one-by-one
-        stepping — results are bit-identical either way (the differential
-        tests enforce it); the flag exists for exactly that comparison.
-    lookahead:
-        Enable the deep-inbox block-scan drain.  ``False`` keeps every
-        session in the one-row-per-sweep loop — again bit-identical, and
-        again kept as a flag precisely so the differential tests and the
-        benchmarks can prove both claims.  Both flags live here only: a
-        served manager (server, fleet worker, CLI) runs both lanes.
     restore:
         Checkpoint directory to rebuild a previously persisted manager
         from (see :meth:`checkpoint`).  Raises
@@ -298,17 +287,11 @@ class SessionManager:
         self,
         *,
         inbox_limit: int = DEFAULT_INBOX_LIMIT,
-        max_nodes: int = DEFAULT_MAX_NODES,
-        batch: bool = True,
-        lookahead: bool = True,
         restore: str | os.PathLike | None = None,
     ):
         if inbox_limit < 1:
             raise ConfigurationError(f"inbox_limit must be >= 1, got {inbox_limit}")
         self.inbox_limit = inbox_limit
-        self.max_nodes = max_nodes
-        self.batch = batch
-        self.lookahead = lookahead
         self.metrics = MetricsRecorder()
         self._sessions: dict[str, _Session] = {}
         self._next_id = 1
@@ -338,7 +321,7 @@ class SessionManager:
             For invalid ``n``/``k``/``seed`` (see :func:`check_create`; no
             id is taken then) or a duplicate ``session_id``.
         """
-        check_create(n, k, seed=seed, max_nodes=self.max_nodes)
+        check_create(n, k, seed=seed)
         if session_id is None:
             # Skip ids a client already chose for a live session.
             while f"s{self._next_id}" in self._sessions:
@@ -361,10 +344,7 @@ class SessionManager:
         if session.pending:
             t0 = self.metrics.clock()
             rows = self._drain_session(session)
-            self.metrics.record_sweep(
-                rows, self.metrics.clock() - t0,
-                lookahead=rows if self.lookahead else 0,
-            )
+            self.metrics.record_sweep(rows, self.metrics.clock() - t0, lookahead=rows)
         view = self._view(session)
         self.metrics.record_close(view.message_count)
         del self._sessions[session_id]
@@ -449,12 +429,13 @@ class SessionManager:
     def step(self) -> int:
         """One sweep: advance every session with pending rows.
 
-        Returns the number of rows processed.  Three lanes, fastest first:
-        deep inboxes drain whole via an ``observe_many`` block scan;
-        initialized kernels are grouped by ``(n, k)`` and their quietness
-        decided in one stacked comparison; a session's first row, a
-        ``k = n`` session and a group of one advance one row individually.
-        All three lanes are bit-identical (see the module docstring).
+        Returns the number of rows processed.  Three lanes, fastest first,
+        chosen by inbox depth and group width alone: deep inboxes drain
+        whole via an ``observe_many`` block scan; initialized kernels are
+        grouped by ``(n, k)`` and their quietness decided in one stacked
+        comparison; a session's first row, a ``k = n`` session and a group
+        of one advance one row individually.  All three lanes are
+        bit-identical (see the module docstring).
         """
         t0 = self.metrics.clock()
         singles: list[_Session] = []
@@ -464,9 +445,9 @@ class SessionManager:
             if not session.pending:
                 continue
             stepper = session.stepper
-            if self.lookahead and session.pending >= LOOKAHEAD_MIN_DEPTH:
+            if session.pending >= LOOKAHEAD_MIN_DEPTH:
                 deep.append(session)
-            elif self.batch and stepper.initialized and not stepper.trivial:
+            elif stepper.initialized and not stepper.trivial:
                 groups.setdefault((stepper.n, stepper.k), []).append(session)
             else:
                 singles.append(session)
@@ -519,20 +500,11 @@ class SessionManager:
             total += processed
 
     def _drain_session(self, session: _Session) -> int:
-        """Drain one session's whole inbox; returns the rows stepped.
-
-        Uses the kernel's lookahead ``observe_many`` (the deep-inbox fast
-        lane), or a per-row loop under ``lookahead=False``.
-        """
+        """Drain one session's non-empty inbox through the kernel's
+        lookahead ``observe_many`` (the deep-inbox fast lane); returns the
+        rows stepped."""
         count = session.pending
-        if not count:
-            return 0
-        block = session.pop_all()
-        if self.lookahead:
-            session.stepper.observe_many(block)
-        else:
-            for row in block:
-                session.stepper.step(row)
+        session.stepper.observe_many(session.pop_all())
         self._dirty.add(session.session_id)
         return count
 

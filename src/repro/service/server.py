@@ -63,10 +63,7 @@ LOG_COMPACT_BYTES = 16 << 20
 
 
 class ServiceServer(Frontend):
-    """The session service: one listener, one manager, one stepper.
-
-    The stepper always runs both fast lanes, batched and lookahead.
-    """
+    """The session service: one listener, one manager, one stepper."""
 
     def __init__(
         self,
@@ -85,7 +82,7 @@ class ServiceServer(Frontend):
             "query": self._op_query,
             "close": self._op_close,
             "metrics": lambda request: {"metrics": self.manager.metrics_snapshot().as_dict()},
-            "obs": _op_obs,
+            "obs": self._op_obs,
             "sessions": lambda request: {"sessions": self.manager.session_ids()},
             "checkpoint": self._op_checkpoint,
             "restore": self._op_restore,
@@ -216,8 +213,7 @@ class ServiceServer(Frontend):
 
     def _op_create(self, request: dict) -> dict:
         n, k, seed = int(request["n"]), int(request["k"]), request.get("seed")
-        check_create(n, k, seed=seed, engine=request.get("engine"),
-                     max_nodes=self.manager.max_nodes)
+        check_create(n, k, seed=seed, engine=request.get("engine"))
         session_id = self.manager.create(n, k, seed=seed, session_id=request.get("session"))
         self._checkpoint()  # a created-but-unfed session must survive a kill
         return {"session": session_id, "engine": SESSION_ENGINE}
@@ -296,10 +292,12 @@ class ServiceServer(Frontend):
         self._work.set()  # the imported inbox may hold pending rows
         return {"session": session_id, "engine": SESSION_ENGINE}
 
-
-def _op_obs(request: dict) -> dict:
-    limit = request.get("limit")
-    return obs_payload(limit=int(limit) if limit is not None else None)
+    def _op_obs(self, request: dict) -> dict:
+        # A metrics snapshot publishes the service gauges: take one, so the
+        # exposition reads this moment and not the last `metrics` op.
+        self.manager.metrics_snapshot()
+        limit = request.get("limit")
+        return obs_payload(limit=int(limit) if limit is not None else None)
 
 
 class ServerHandle(ServingHandle):
@@ -332,8 +330,7 @@ def start_server(host: str = "127.0.0.1", port: int = 0, **options) -> ServerHan
         ``handle.address``).
     options:
         Forwarded to :class:`ServiceServer` (``manager``, ``inbox_limit``,
-        ``batch_linger``, ``checkpoint_dir``, ``checkpoint_interval``); a
-        node cap comes with ``manager=SessionManager(max_nodes=...)``.
+        ``batch_linger``, ``checkpoint_dir``, ``checkpoint_interval``).
 
     Raises
     ------

@@ -8,7 +8,7 @@ through :class:`numpy.random.SeedSequence` spawning, so that
 * independent components never share a stream (no accidental correlation),
 * the faithful and the vectorized engines can be driven by *identical*
   randomness, which is what makes exact differential testing possible
-  (invariant I4 in DESIGN.md).
+  (the shared randomness convention in docs/architecture.md).
 
 :func:`encode_rng_state` / :func:`decode_rng_state` are the one PCG64
 state codec: both checkpoint formats (the faithful

@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment reports.
 
 The experiment harness prints every regenerated table in a fixed-width ASCII
-format (and can emit Markdown for EXPERIMENTS.md).  No third-party
+format (and can emit Markdown for the experiments CLI's ``--markdown`` report).  No third-party
 pretty-printers are used so benchmark output stays dependency-free and easy
 to diff across runs.
 """

@@ -147,11 +147,30 @@ class TestKernelCheckpoint:
         assert resumed.counts == ref.counts
 
     def test_config_round_trips(self, values):
-        kernel = IncrementalKernel(10, 3, seed=1, skip_redundant_min=True)
-        for row in values[:50]:
-            kernel.step(row)
-        resumed = IncrementalKernel.from_snapshot(kernel.snapshot())
-        assert resumed._skip_redundant_min is True
+        """A 7.x snapshot carries the default ``config`` block: it restores
+        and continues bit-identically, and a fresh snapshot has none."""
+        kernel = IncrementalKernel(10, 3, seed=1)
+        kernel.observe_many(values[:150])
+        state = kernel.snapshot()
+        assert "config" not in state
+        state["config"] = {"skip_redundant_min": False, "charge_start_broadcast": True}
+        resumed = IncrementalKernel.from_snapshot(json.loads(json.dumps(state)))
+        assert np.array_equal(resumed.observe_many(values[150:]), kernel.observe_many(values[150:]))
+        assert resumed.counts == kernel.counts
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"skip_redundant_min": True, "charge_start_broadcast": True},
+            {"skip_redundant_min": False, "charge_start_broadcast": False},
+        ],
+    )
+    def test_ablation_config_is_refused(self, values, config):
+        kernel = IncrementalKernel(10, 3, seed=1)
+        kernel.observe_many(values[:50])
+        state = {**kernel.snapshot(), "config": config}
+        with pytest.raises(ConfigurationError, match="faithful"):
+            IncrementalKernel.from_snapshot(state)
 
     def test_trivial_kernel_round_trips(self):
         kernel = IncrementalKernel(3, 3, seed=0)

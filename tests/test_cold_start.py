@@ -21,13 +21,10 @@ from repro.engine.vectorized import IncrementalKernel
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
 # What every path shares: the lazy package shells, the counting kernel
-# (registered as both counting engines), the config dataclasses, the obs
-# leaf and the util helpers.
+# (registered as both counting engines), the obs leaf and the util helpers.
 _COMMON = [
     "repro",
     "repro._lazy",
-    "repro.core",
-    "repro.core.config",
     "repro.engine",
     "repro.engine.kernel",
     "repro.engine.registry",
@@ -45,7 +42,7 @@ _COMMON = [
 ]
 
 #: A plain ``python -m repro.service --serve`` worker: no client, no fleet
-#: router, no faithful monitor, no message model.
+#: router, no faithful monitor, no message model, no config dataclasses.
 SERVED = sorted(
     _COMMON
     + [
@@ -59,8 +56,9 @@ SERVED = sorted(
     ]
 )
 
-#: ``import repro`` plus one ``repro.run(..., engine="fast")``.
-FAST_RUN = sorted(_COMMON + ["repro.api"])
+#: ``import repro`` plus one ``repro.run(..., engine="fast")``: a run
+#: spec carries a ``MonitorConfig``.
+FAST_RUN = sorted(_COMMON + ["repro.api", "repro.core", "repro.core.config"])
 
 _LIST_MODULES = """
 print(json.dumps(sorted(m for m in sys.modules if m == "repro" or m.startswith("repro."))))

@@ -11,6 +11,7 @@ from repro.core.monitor import MonitorConfig
 from repro.engine.compare import _compare_counting_results
 from repro.core.protocols import ProtocolConfig
 from repro.engine import differential_check
+from repro.errors import ConfigurationError
 from repro.streams import (
     adversarial_rotation,
     churn_below_boundary,
@@ -94,9 +95,13 @@ class TestDifferential:
         assert report.equal, report.detail
 
     def test_skip_redundant_min_variant(self):
+        """Ablation A2 runs on the faithful engine: same answers, fewer
+        ``handler_min`` messages than the listing it ablates."""
         values = random_walk(10, 300, seed=10, step_size=5).generate()
-        report = differential_check(values, 3, seed=1, skip_redundant_min=True)
-        assert report.equal, report.detail
+        listing = _run(values, 3, seed=1, engine="faithful")
+        skip = _run(values, 3, seed=1, engine="faithful", skip_redundant_min=True)
+        assert np.array_equal(skip.topk_history, listing.topk_history)
+        assert skip.by_phase.get("handler_min", 0) < listing.by_phase["handler_min"]
 
     @given(st.integers(0, 10**5))
     @settings(max_examples=20, deadline=None)
@@ -154,10 +159,23 @@ class TestThreeWayDifferential:
         assert _counting_results_equal(vec, fast), name
 
     def test_skip_redundant_min_variant(self):
+        """The counting engines run the listed protocol only: A2 is refused,
+        naming the faithful engine."""
         values = random_walk(10, 300, seed=10, step_size=5).generate()
-        vec = _run(values, 3, seed=1, skip_redundant_min=True)
-        fast = _run(values, 3, seed=1, engine="fast", skip_redundant_min=True)
-        assert _counting_results_equal(vec, fast)
+        for engine in ("vectorized", "fast"):
+            with pytest.raises(ConfigurationError, match="skip_redundant_min.*faithful"):
+                _run(values, 3, seed=1, engine=engine, skip_redundant_min=True)
+
+    def test_uncharged_start_variant(self):
+        """A start broadcast left uncharged is refused the same way; the
+        faithful engine runs it."""
+        values = random_walk(10, 300, seed=10, step_size=5).generate()
+        uncharged = ProtocolConfig(charge_start_broadcast=False)
+        for engine in ("vectorized", "fast"):
+            with pytest.raises(ConfigurationError, match="charge_start_broadcast.*faithful"):
+                _run(values, 3, seed=1, engine=engine, protocol=uncharged)
+        faithful = _run(values, 3, seed=1, engine="faithful", protocol=uncharged)
+        assert faithful.by_phase.get("protocol_start", 0) == 0
 
     def test_rejects_every_round_policy(self):
         values = staircase(4, 5).generate()
@@ -171,6 +189,35 @@ class TestThreeWayDifferential:
         values = random_walk(10, 200, seed=2, step_size=5).generate()
         res = _run(values, 4, seed=3, engine="fast")
         assert MonitorResult.check_history(res.topk_history, values, 4) == 0
+
+    def test_int64_edge_rows(self):
+        """A value of 2^62 doubles past int64, and the extremes negate to
+        themselves: every engine still answers the true top-1, with equal
+        counts."""
+        values = np.array(
+            [[10, 0], [10, 2**62], [-(2**63), 2**63 - 1], [2**63 - 1, -(2**63)]], dtype=np.int64
+        )
+        report = differential_check(values, 1, seed=3)
+        assert report.equal, report.detail
+        fast = _run(values, 1, seed=3, engine="fast")
+        assert fast.topk_history.ravel().tolist() == [0, 1, 1, 0]
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_full_int64_range_property(self, data):
+        """Rows drawn from the whole int64 range: the three engines agree
+        bit for bit and every answer is a valid top-k set."""
+        n = data.draw(st.integers(2, 6), label="n")
+        k = data.draw(st.integers(1, n - 1), label="k")
+        edges = st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 2**62, 2**63 - 1])
+        value = st.one_of(edges, st.integers(-(2**63), 2**63 - 1))
+        rows = data.draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1,
+                                  max_size=12))
+        values = np.array(rows, dtype=np.int64)
+        report = differential_check(values, k, seed=data.draw(st.integers(0, 99)))
+        assert report.equal, report.detail
+        fast = _run(values, k, seed=0, engine="fast")
+        assert MonitorResult.check_history(fast.topk_history, values, k) == 0
 
     @given(st.integers(0, 10**5))
     @settings(max_examples=20, deadline=None)

@@ -5,7 +5,8 @@ stacked sweep check, and the ``scan_quiet`` block lookahead (the one
 lookahead, shared by the fast engine and the service) — must agree with
 the brute-force doubled comparison
 ``sides & (2·v < M2) | ~sides & (2·v > M2)`` on arbitrary states,
-including negative values and odd (half-integer midpoint) bounds.
+including negative values and odd (half-integer midpoint) bounds, and
+with its exact Python-int form over the whole int64 range.
 
 The kernel's Algorithm-2 pricing is held to two references: a reset's
 one-pass pricing to the same ``k+1`` sweeps priced one execution at a
@@ -189,6 +190,68 @@ class TestStacked:
         assert noisy.tolist() == [s.violates(r) for s, r in zip(states, rows)]
 
 
+_I64 = np.iinfo(np.int64)
+
+# Any int64, with the edges (where doubling or negating wraps) drawn often.
+_FULL_RANGE = st.one_of(
+    st.sampled_from([_I64.min, _I64.min + 1, -1, 0, 1, _I64.max - 1, _I64.max]),
+    st.integers(_I64.min, _I64.max),
+)
+
+
+def _exact_violators(state: FilterState, row: np.ndarray) -> tuple[list, list]:
+    """The doubled comparison in Python ints, which never wrap."""
+    values = row.tolist()
+    top = [i for i in range(state.n) if state.sides[i] and 2 * values[i] < state.m2]
+    bottom = [i for i in range(state.n) if not state.sides[i] and 2 * values[i] > state.m2]
+    return top, bottom
+
+
+class TestFullRange:
+    """Every check compares raw values with the thresholds of ``M2``, so no
+    int64 value or bound wraps, however close to ``±2^63``."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_check_matches_exact_doubling(self, data):
+        n = data.draw(st.integers(2, 8), label="n")
+        states = []
+        for _ in range(data.draw(st.integers(1, 5), label="sessions")):
+            k = data.draw(st.integers(1, n - 1))
+            top = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+            state = FilterState.blank(n)
+            state.install(sorted(top), data.draw(_FULL_RANGE), data.draw(_FULL_RANGE))
+            states.append(state)
+        depth = data.draw(st.integers(len(states), 40), label="rows")
+        rows = np.array(
+            data.draw(st.lists(st.lists(_FULL_RANGE, min_size=n, max_size=n),
+                               min_size=depth, max_size=depth)),
+            dtype=np.int64,
+        )
+        for state, row in zip(states, rows):
+            top, bottom = _exact_violators(state, row)
+            viol_top, viol_bot = state.violators(row)
+            assert (viol_top.tolist(), viol_bot.tolist()) == (top, bottom)
+            assert state.violates(row) == bool(top or bottom)
+        expected = [any(_exact_violators(s, r)) for s, r in zip(states, rows)]
+        assert violates_stacked(rows[: len(states)], states).tolist() == expected
+        noisy = [any(_exact_violators(states[0], row)) for row in rows]
+        start = data.draw(st.integers(0, depth), label="start")
+        assert states[0].scan_quiet(rows, start) == next(
+            (t for t in range(start, depth) if noisy[t]), depth
+        )
+
+    def test_stacked_bound_past_int64(self):
+        """A bound of two extremes near ``2^63`` leaves int64; the stacked
+        check then takes exact thresholds per state."""
+        high, low = FilterState.blank(2), FilterState.blank(2)
+        high.install([1], _I64.max, _I64.max - 2)  # M2 = 2^64 - 4
+        low.install([0], _I64.min, _I64.min)  # M2 = -2^64
+        rows = np.array([[_I64.max, _I64.max - 2], [_I64.min, _I64.min]], dtype=np.int64)
+        assert violates_stacked(rows, [high, low]).tolist() == [True, False]
+        assert [high.violates(rows[0]), low.violates(rows[1])] == [True, False]
+
+
 class TestSnapshot:
     def test_round_trip_is_json_safe_and_exact(self):
         rng = np.random.default_rng(11)
@@ -264,14 +327,16 @@ class TestFirstSendPricing:
         """One execution priced in array passes equals the faithful
         protocol, which clocks the same coins round by round: winner,
         value, node messages, broadcasts and PCG64 state — with ties, a
-        bound above the participant count, and the most negative int64
-        (an empty round must be told apart by presence, not by value)."""
+        bound above the participant count, and both int64 extremes on
+        either side (a key equal to the empty-round sentinel must be told
+        apart by presence, not by value, and a minimum keyed by ``~v``
+        never wraps)."""
         m = data.draw(st.integers(1, 40), label="m")
         upper = data.draw(st.integers(m, 3 * m), label="upper")
         sign = data.draw(st.sampled_from([1, -1]), label="sign")
-        low = np.iinfo(np.int64).min if sign > 0 else -5
+        edges = [np.iinfo(np.int64).min, -1, 0, 2, 5, np.iinfo(np.int64).max]
         values = np.array(
-            data.draw(st.lists(st.sampled_from([low, -1, 0, 2, 5]), min_size=m, max_size=m)),
+            data.draw(st.lists(st.sampled_from(edges), min_size=m, max_size=m)),
             dtype=np.int64,
         )
         ids = np.sort(np.array(data.draw(
@@ -282,7 +347,7 @@ class TestFirstSendPricing:
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
 
         counts, rng = _blank_counts(), np.random.default_rng(seed)
-        out = protocol_run(ids, row, upper, sign, "handler_max", False, counts, rng, 0)
+        out = protocol_run(ids, row, upper, sign, "handler_max", False, counts, rng)
         ref_rng = np.random.default_rng(seed)
         protocol = maximum_protocol if sign > 0 else minimum_protocol
         ref = protocol(ids, values, upper, ref_rng)
@@ -298,9 +363,11 @@ class TestFirstSendPricing:
         priced one at a time in sweep order."""
         n = data.draw(st.integers(2, 90), label="n")
         k = data.draw(st.integers(1, n - 1), label="k")
-        spread = data.draw(st.sampled_from([1, 3, 10**6]), label="spread")  # 1, 3: many ties
+        # 1, 3: many ties; 2^63 - 1: the whole int64 range, whose minimum
+        # a ranking keyed by negation would wrap.
+        spread = data.draw(st.sampled_from([1, 3, 10**6, _I64.max]), label="spread")
         row = np.array(
-            data.draw(st.lists(st.integers(-spread, spread), min_size=n, max_size=n)),
+            data.draw(st.lists(st.integers(~spread, spread), min_size=n, max_size=n)),
             dtype=np.int64,
         )
         cap = data.draw(st.sampled_from([1, n + 1, 3 * n, kernel._PRICE_CAP]), label="cap")
@@ -308,7 +375,7 @@ class TestFirstSendPricing:
 
         one_pass, one_rng = _blank_counts(), np.random.default_rng(seed)
         with mock.patch.object(kernel, "_PRICE_CAP", cap):
-            winners, values = reset_sweeps(row, k, one_pass, one_rng, 1)
+            winners, values = reset_sweeps(row, k, one_pass, one_rng)
 
         swept, sweep_rng = _blank_counts(), np.random.default_rng(seed)
         remaining = np.ones(n, dtype=bool)
@@ -316,7 +383,7 @@ class TestFirstSendPricing:
         for _ in range(k + 1):
             out = protocol_run(
                 np.flatnonzero(remaining), row, n, +1, "reset_protocol", True,
-                swept, sweep_rng, 1,
+                swept, sweep_rng,
             )
             expected.append(out)
             remaining[out[0]] = False
@@ -346,7 +413,7 @@ class TestFirstSendPricing:
             winner, _, msgs, bcasts = _per_round_coins(ids, values, upper, old_rng)
             old[i] = msgs, bcasts
             before = counts["handler_max"], counts["protocol_round"]
-            out = protocol_run(ids, values, upper, +1, "handler_max", False, counts, new_rng, 0)
+            out = protocol_run(ids, values, upper, +1, "handler_max", False, counts, new_rng)
             new[i] = counts["handler_max"] - before[0], counts["protocol_round"] - before[1]
             assert out[0] == winner == upper - 1
         samples = {

@@ -434,6 +434,24 @@ class TestServiceWire:
         finally:
             handle.close()
 
+    def test_obs_alone_reports_the_rows(self, obs_state):
+        """An ``obs`` reply reads the service gauges as they are now, though
+        no client ever called ``metrics``."""
+        from repro.service import ServiceClient, start_server
+
+        obs_state.enable()
+        handle = start_server()
+        try:
+            with ServiceClient(handle.address) as client:
+                sess = client.create_session(8, 3, seed=7)
+                sess.feed_rows([[i] * 8 for i in range(10)])
+                sess.query(wait=True)
+                payload = client.obs()
+                assert "repro_service_rows_processed 10" in payload["prom"].splitlines()
+                assert "repro_service_sessions_live 1" in payload["prom"].splitlines()
+        finally:
+            handle.close()
+
     def test_obs_op_reports_disabled_when_off(self, obs_state):
         from repro.service import ServiceClient, start_server
 

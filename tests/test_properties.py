@@ -21,8 +21,8 @@ from repro.util.seeding import derive_rng
 
 
 class TestNegativeCorrelation:
-    """Reproduction finding on Theorem 4.2's proof (documented, see
-    EXPERIMENTS.md E2): the paper claims the sender indicators are
+    """Reproduction finding on Theorem 4.2's proof (experiment E2 reports
+    it too): the paper claims the sender indicators are
     negatively correlated (``P[∀i∈I: X_i] <= ∏ P[X_i]``) to justify the
     Chernoff step.  Empirically this is FALSE pairwise: adjacent-rank
     indicators are *positively* correlated — both are coupled through the

@@ -8,7 +8,10 @@ value sequence and seed,
  == IncrementalKernel stepped row-by-row
  == SessionManager's stepping lanes (batched, lookahead, per-row)
 
-in top-k trajectory *and* message counts, on every catalog workload.
+in top-k trajectory *and* message counts, on every catalog workload.  The
+traffic shape picks a manager's lane: one row per session per ``step()``
+reaches the stacked lane, ``LOOKAHEAD_MIN_DEPTH`` pending rows the block
+lane, and a session alone in its manager the per-row lane.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.engine.vectorized import IncrementalKernel, _run_vectorized
 from repro.errors import BackpressureError, ConfigurationError, ServiceError
 from repro.service import ServiceClient, SessionManager, start_server
 from repro.service import manager as manager_module
+from repro.service.manager import DEFAULT_MAX_NODES, LOOKAHEAD_MIN_DEPTH
 from repro.streams import get_workload, list_workloads
 
 N, K, STEPS = 10, 3, 120
@@ -103,11 +107,7 @@ class TestIncrementalKernel:
         b = IncrementalKernel(N, K, seed=2)
         for row in values:
             a.step(row)
-            doubled = 2 * row
-            quiet = b.initialized and not (
-                (b.sides & (doubled < b.m2)) | (~b.sides & (doubled > b.m2))
-            ).any()
-            if quiet:
+            if b.initialized and not b.filter.violates(row):
                 b.quiet_step()
             else:
                 b.step(row)
@@ -166,65 +166,86 @@ class TestDifferentialCatalog:
                 assert np.array_equal(np.array(histories[sid]), offline.topk_history), name
                 assert mgr.query(sid).message_count == offline.total_messages, name
 
-    def test_batch_flag_is_pure_transport(self):
-        """batch=True/False give identical results under bursty feeding."""
+    def test_stacked_and_single_lanes_agree(self):
+        """Bursty feeding into one shared manager (shallow sessions stack)
+        and into one manager per session (a group of one steps alone)
+        gives identical results."""
         workloads = [_matrix(name, seed=8) for name in ("random_walk", "iid_uniform", "bursty")]
         finals = []
-        for batch in (True, False):
-            mgr = SessionManager(batch=batch)
-            sids = [mgr.create(N, K, seed=40 + i) for i in range(len(workloads))]
+        for shared in (True, False):
+            managers = [SessionManager()] * len(workloads) if shared else [
+                SessionManager() for _ in workloads
+            ]
+            sids = [mgr.create(N, K, seed=40 + i) for i, mgr in enumerate(managers)]
             cursors = [0] * len(sids)
             rng_local = np.random.default_rng(7)
             while any(c < STEPS for c in cursors):
-                for i, sid in enumerate(sids):
-                    burst = int(rng_local.integers(0, 4))
+                for i, (mgr, sid) in enumerate(zip(managers, sids)):
+                    burst = int(rng_local.integers(0, LOOKAHEAD_MIN_DEPTH))
                     for _ in range(min(burst, STEPS - cursors[i])):
                         mgr.feed(sid, workloads[i][cursors[i]])
                         cursors[i] += 1
-                mgr.drain()
-            finals.append([(mgr.query(sid).topk, mgr.query(sid).message_count) for sid in sids])
+                for mgr in dict.fromkeys(managers):
+                    mgr.drain()
+            finals.append([(m.query(sid).topk, m.query(sid).message_count)
+                           for m, sid in zip(managers, sids)])
+            batched = sum(m.metrics_snapshot().rows_batched for m in dict.fromkeys(managers))
+            assert (batched > 0) == shared
+            assert not any(m.metrics_snapshot().rows_lookahead for m in managers)
         assert finals[0] == finals[1]
 
     @pytest.mark.parametrize("lookahead", [True, False])
     @pytest.mark.parametrize("batch", [True, False])
     def test_fed_blocks_are_pure_transport(self, batch, lookahead):
-        """One stream fed four ways into one manager — per-row ``feed``,
-        one numpy block, uneven list-of-lists chunks, and a mix of all
-        three — equals the offline run at every row a sweep exposes."""
+        """One stream fed four ways — per-row ``feed``, numpy blocks, uneven
+        list-of-lists chunks, and a mix of all three — equals the offline
+        run at every row a sweep exposes.  The traffic picks the lanes:
+        under ``batch`` the four sessions share one manager, so shallow
+        ones stack, else each is alone in its own; under ``lookahead`` the
+        block arrives whole and chunks reach ``LOOKAHEAD_MIN_DEPTH``, else
+        every session gets one row per ``step()``."""
         values = _matrix("random_walk", seed=12)
         offline = repro.run(repro.RunSpec(values, k=K, seed=4, engine="vectorized"))
-        mgr = SessionManager(batch=batch, lookahead=lookahead)
-        sids = {mode: mgr.create(N, K, seed=4) for mode in ("rows", "block", "chunks", "mix")}
-        mgr.feed_many(sids["block"], values)
+        modes = ("rows", "block", "chunks", "mix")
+        if batch:
+            managers = dict.fromkeys(modes, SessionManager())
+        else:
+            managers = {mode: SessionManager() for mode in modes}
+        sids = {mode: managers[mode].create(N, K, seed=4) for mode in modes}
+        if lookahead:
+            managers["block"].feed_many(sids["block"], values)
         rng = np.random.default_rng(3)
         t = 0
         while t < STEPS:
-            chunk = values[t : t + int(rng.integers(1, 7))]
+            chunk = values[t : t + (int(rng.integers(1, 7)) if lookahead else 1)]
             for row in chunk:
-                mgr.feed(sids["rows"], row)
-            mgr.feed_many(sids["chunks"], chunk.tolist())
+                managers["rows"].feed(sids["rows"], row)
+            managers["chunks"].feed_many(sids["chunks"], chunk.tolist())
+            if not lookahead:
+                managers["block"].feed_many(sids["block"], chunk)
             if t % 3 == 0:
-                mgr.feed_many(sids["mix"], chunk)
+                managers["mix"].feed_many(sids["mix"], chunk)
             elif t % 3 == 1:
                 for row in chunk.tolist():
-                    mgr.feed(sids["mix"], row)
+                    managers["mix"].feed(sids["mix"], row)
             else:
-                mgr.feed_many(sids["mix"], chunk.tolist())
+                managers["mix"].feed_many(sids["mix"], chunk.tolist())
             t += len(chunk)
-            mgr.step()
-            for sid in sids.values():
-                view = mgr.query(sid)
+            for mgr in dict.fromkeys(managers.values()):
+                mgr.step()
+            for mode, sid in sids.items():
+                view = managers[mode].query(sid)
                 if view.time >= 0:
                     assert view.topk == tuple(offline.topk_history[view.time].tolist()), sid
-        mgr.drain()
-        for sid in sids.values():
-            view = mgr.query(sid)
+        for mode, sid in sids.items():
+            managers[mode].drain()
+            view = managers[mode].query(sid)
             assert view.time == STEPS - 1 and view.pending == 0, sid
             assert view.topk == tuple(offline.topk_history[-1].tolist()), sid
             assert view.message_count == offline.total_messages, sid
-        snap = mgr.metrics_snapshot()
-        assert (snap.rows_batched > 0) == batch
-        assert (snap.rows_lookahead > 0) == lookahead
+        snaps = [mgr.metrics_snapshot() for mgr in dict.fromkeys(managers.values())]
+        assert any(snap.rows_batched for snap in snaps) == batch
+        assert any(snap.rows_lookahead for snap in snaps) == lookahead
 
 
 class TestDeepInboxLookahead:
@@ -263,24 +284,34 @@ class TestDeepInboxLookahead:
             kernel.observe_many([[1.0, 2.0, 3.0, 4.0]])
 
     def test_lookahead_drain_matches_per_row_manager(self):
-        """Deep inboxes drained by block scan == sweeps, on every workload."""
+        """Deep inboxes drained by block scan == one row per session per
+        sweep (the stacked lane) == offline, on every workload."""
+        matrices = [_matrix(name, seed=9 + i) for i, name in enumerate(list_workloads())]
         finals = []
-        for lookahead in (True, False):
-            mgr = SessionManager(lookahead=lookahead)
-            sids = []
-            for i, name in enumerate(list_workloads()):
-                sid = mgr.create(N, K, seed=60 + i)
-                mgr.feed_many(sid, _matrix(name, seed=9 + i))
-                sids.append(sid)
-            mgr.drain()
+        for deep in (True, False):
+            mgr = SessionManager()
+            sids = [mgr.create(N, K, seed=60 + i) for i in range(len(matrices))]
+            if deep:
+                for sid, values in zip(sids, matrices):
+                    mgr.feed_many(sid, values)
+                mgr.drain()
+            else:
+                for t in range(STEPS):
+                    for sid, values in zip(sids, matrices):
+                        mgr.feed(sid, values[t])
+                    assert mgr.step() == len(sids)
             finals.append(
                 [(mgr.query(sid).topk, mgr.query(sid).message_count) for sid in sids]
             )
-            if lookahead:
-                assert mgr.metrics_snapshot().rows_lookahead > 0
-            else:
-                assert mgr.metrics_snapshot().rows_lookahead == 0
+            snap = mgr.metrics_snapshot()
+            assert snap.rows_lookahead == (STEPS * len(sids) if deep else 0)
+            assert (snap.rows_batched > 0) != deep
         assert finals[0] == finals[1]
+        for i, values in enumerate(matrices):
+            offline = repro.run(repro.RunSpec(values, k=K, seed=60 + i, engine="fast"))
+            assert finals[0][i] == (
+                tuple(offline.topk_history[-1].tolist()), offline.total_messages
+            )
 
     def test_shallow_inboxes_stay_on_the_batched_path(self):
         mgr = SessionManager()
@@ -417,8 +448,15 @@ class TestManagerCheckpoint:
             lambda state: state["filter"].update(n=8),
             lambda state: state.update(t=-1),
             lambda state: state.pop("rng_state"),
+            # A 7.x block that asks for an ablation the kernel does not run.
+            lambda state: state.update(
+                config={"skip_redundant_min": True, "charge_start_broadcast": True}
+            ),
         ],
-        ids=["short-sides", "four-top", "non-hex-sides", "filter-n", "blank-with-top", "no-rng"],
+        ids=[
+            "short-sides", "four-top", "non-hex-sides", "filter-n", "blank-with-top", "no-rng",
+            "ablation-config",
+        ],
     )
     def test_corrupt_kernel_snapshot_is_refused_at_restore(self, corrupt, tmp_path):
         """A tampered kernel snapshot fails restore and import naming the
@@ -776,13 +814,18 @@ class TestManagerCheckpoint:
         assert manifest.stat().st_mtime_ns > before
 
     def test_close_drain_metrics_report_the_real_path(self):
-        """close() must not count per-row drains as lookahead rows."""
+        """close() drains a pending inbox through the block lane and counts
+        those rows as lookahead rows; rows stepped before it count in the
+        lane that stepped them."""
         rows = [[1, 2, 3, 4]] * 10
-        mgr = SessionManager(lookahead=False)
+        mgr = SessionManager()
         sid = mgr.create(4, 2, seed=0)
-        mgr.feed_many(sid, rows)
+        for row in rows:  # one row per step(): a group of one, stepped alone
+            mgr.feed(sid, row)
+            mgr.step()
         mgr.close(sid)
-        assert mgr.metrics_snapshot().rows_lookahead == 0
+        snap = mgr.metrics_snapshot()
+        assert (snap.rows_processed, snap.rows_lookahead) == (10, 0)
         mgr = SessionManager()
         sid = mgr.create(4, 2, seed=0)
         mgr.feed_many(sid, rows)
@@ -885,8 +928,9 @@ class TestSessionManager:
 
     def test_refused_create_takes_no_id(self):
         """A create refused for its k, n or seed hands out no session id."""
-        mgr = SessionManager(max_nodes=16)
-        for n, k, seed in ((8, 99, None), (8, 0, None), (32, 3, None), (8, 3, -1)):
+        mgr = SessionManager()
+        too_wide = DEFAULT_MAX_NODES + 1
+        for n, k, seed in ((8, 99, None), (8, 0, None), (too_wide, 3, None), (8, 3, -1)):
             with pytest.raises(ConfigurationError):
                 mgr.create(n, k, seed=seed)
         assert mgr.create(8, 3) == "s1"
@@ -919,6 +963,26 @@ class TestServerClient:
                 assert metrics["sessions_live"] == 1
                 final = session.close()
                 assert final["closed"] and final["time"] == STEPS - 1
+
+    @pytest.mark.parametrize("wire", ["binary", "jsonl"])
+    def test_int64_edge_rows_keep_the_server_up(self, wire):
+        """A value of 2^62 doubles past int64 and the extremes negate to
+        themselves: the served answer equals offline, on every engine, and
+        the server keeps answering."""
+        values = np.array(
+            [[10, 0], [10, 2**62], [-(2**63), 2**63 - 1], [2**63 - 1, -(2**63)]], dtype=np.int64
+        )
+        offline = [repro.run(repro.RunSpec(values, k=1, seed=5), engine=engine)
+                   for engine in ("faithful", "vectorized", "fast")]
+        with start_server() as server:
+            with ServiceClient(server.address, wire=wire) as client:
+                session = client.create_session(n=2, k=1, seed=5)
+                session.feed_rows(values)
+                answer = session.query(wait=True)
+                assert client.ping()
+        for result in offline:
+            assert result.topk_history.ravel().tolist() == [0, 1, 1, 0]
+            assert answer["topk"] == [0] and answer["messages"] == result.total_messages
 
     def test_hundred_concurrent_sessions(self):
         """The CI smoke shape: 100 live sessions, every answer correct."""
@@ -982,7 +1046,7 @@ class TestServerClient:
                     client.request("create", n="many", k=2)
                 with pytest.raises(ServiceError, match="bad request"):
                     client.request("create", n=float("inf"), k=2)  # JSON Infinity
-                with pytest.raises(ServiceError, match="max_nodes"):
+                with pytest.raises(ServiceError, match="node cap"):
                     client.request("create", n=10**18, k=2)  # O(n) alloc refused
                 session = client.create_session(n=4, k=2, seed=0)
                 with pytest.raises(ServiceError):
